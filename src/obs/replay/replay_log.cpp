@@ -14,7 +14,6 @@ const char *
 engineName(vm::ExecEngine e)
 {
     switch (e) {
-      case vm::ExecEngine::Decoded: return "decoded";
       case vm::ExecEngine::Reference: return "reference";
       case vm::ExecEngine::Fused: return "fused";
     }
@@ -24,11 +23,9 @@ engineName(vm::ExecEngine e)
 bool
 engineFromName(const std::string &name, vm::ExecEngine &out)
 {
-    if (name == "decoded")
-        out = vm::ExecEngine::Decoded;
-    else if (name == "reference")
+    if (name == "reference")
         out = vm::ExecEngine::Reference;
-    else if (name == "fused")
+    else if (name == "fused" || name == "decoded") // v1 logs: "decoded"
         out = vm::ExecEngine::Fused;
     else
         return false;

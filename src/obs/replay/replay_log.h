@@ -42,10 +42,12 @@
 
 namespace conair::obs::replay {
 
-/** Lowercase engine name ("decoded", "reference", "fused"). */
+/** Lowercase engine name ("reference", "fused"). */
 const char *engineName(vm::ExecEngine e);
 
-/** Inverse of engineName; returns false on an unknown name. */
+/** Inverse of engineName; returns false on an unknown name.  Also
+ *  reads "decoded" — the retired engine that older logs name — as
+ *  Fused, which runs the same schedules tick for tick. */
 bool engineFromName(const std::string &name, vm::ExecEngine &out);
 
 /** A recorded run, self-contained enough to re-execute exactly. */
@@ -57,7 +59,7 @@ struct ReplayLog
 
     std::string program;       ///< kernel name the log was recorded from
     std::string scheduleToken; ///< originating search token ("" = none)
-    vm::ExecEngine engine = vm::ExecEngine::Decoded; ///< recorded under
+    vm::ExecEngine engine = vm::ExecEngine::Fused; ///< recorded under
 
     //
     // Config snapshot: every knob the execution depends on.  The

@@ -255,14 +255,19 @@ DecodedModule::DecodedModule(
     const std::unordered_map<uint64_t, uint32_t> &ruleIndex)
 {
     // Create every shell first so call records can link cross-function
-    // (including recursion and forward references).
+    // (including recursion and forward references).  Fusion reads only
+    // the function's own records, so each body is fused as soon as it
+    // is decoded.
     for (const auto &fn : m.functions())
         byFn_.emplace(fn.get(), std::make_unique<DecodedFunction>());
     for (const auto &fn : m.functions()) {
         FunctionDecoder dec(*byFn_.at(fn.get()), maps.of(fn.get()),
                             delayRules, ruleIndex, byFn_);
         dec.run(*fn);
-        totalInsts_ += byFn_.at(fn.get())->insts.size();
+        DecodedFunction &dfn = *byFn_.at(fn.get());
+        fuseFunction(dfn);
+        totalInsts_ += dfn.insts.size();
+        totalFused_ += dfn.fused->fusedHeads;
     }
 }
 

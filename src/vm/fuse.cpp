@@ -326,14 +326,4 @@ fuseFunction(DecodedFunction &dfn)
     dfn.fused = std::move(ff);
 }
 
-void
-DecodedModule::fuseAll()
-{
-    totalFused_ = 0;
-    for (auto &[fn, dfn] : byFn_) {
-        fuseFunction(*dfn);
-        totalFused_ += dfn->fused->fusedHeads;
-    }
-}
-
 } // namespace conair::vm

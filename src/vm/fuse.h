@@ -107,7 +107,8 @@ struct FusedFunction
 };
 
 /** Builds @p dfn's fusion overlay (idempotent; replaces any previous
- *  overlay).  Called by DecodedModule::fuseAll for every function. */
+ *  overlay).  Called by the DecodedModule constructor for every
+ *  function. */
 void fuseFunction(DecodedFunction &dfn);
 
 } // namespace conair::vm

@@ -91,7 +91,6 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
       chaosRng_(cfg.seed ^ 0x5bd1e995u),
       prioRng_(cfg.seed ^ 0xda942042e4dd58b5ull)
 {
-    engineDecoded_ = cfg_.engine != ExecEngine::Reference;
     engineFused_ = cfg_.engine == ExecEngine::Fused;
     rec_ = cfg_.recorder;
     met_ = cfg_.metrics;
@@ -172,12 +171,9 @@ Interp::Interp(const ir::Module &m, VmConfig cfg)
 
     // delayRules_ must be complete before decoding: SchedHint records
     // bake pointers into it.
-    if (engineDecoded_) {
+    if (engineFused_)
         decoded_ = std::make_unique<DecodedModule>(m, regMaps_, delayRules_,
                                                    delayIndexByHint_);
-        if (engineFused_)
-            decoded_->fuseAll();
-    }
 }
 
 Interp::~Interp() = default;
@@ -190,8 +186,7 @@ RunResult
 Interp::run()
 {
     result_.stats.decodedInsts = decoded_ ? decoded_->totalInsts() : 0;
-    result_.stats.fusedInsts =
-        engineFused_ && decoded_ ? decoded_->totalFusedInsts() : 0;
+    result_.stats.fusedInsts = decoded_ ? decoded_->totalFusedInsts() : 0;
     result_.stats.hintRulesTracked = hintFires_.size();
 
     const ir::Function *main_fn = module_.findFunction("main");
@@ -400,9 +395,11 @@ fusedRef(const RtValue *regs, const RtValue *consts, OpRef r)
     return r < kConstRef ? regs[r] : consts[r & ~kConstRef];
 }
 
-/** The trap-free integer ALU kernel: replicates execDecoded's
- *  arithmetic bit for bit.  SDiv/SRem only reach here with an
- *  immediate divisor that is neither 0 nor -1 (classifyAlu). */
+/** The fast engine's integer ALU kernel (execDecoded and the fused
+ *  records).  Trap-free: callers screen SDiv/SRem first, trapping on a
+ *  zero divisor and answering the overflowing -1 cases themselves
+ *  (execDecoded at run time; classifyAlu fuses only immediates that
+ *  are neither 0 nor -1). */
 inline int64_t
 aluCompute(uint8_t sub, int64_t a, int64_t b)
 {
@@ -422,8 +419,8 @@ aluCompute(uint8_t sub, int64_t a, int64_t b)
     }
 }
 
-/** The compare kernel, including the Eq/Ne runtime pointer-kind check
- *  the generic paths perform. */
+/** The fast engine's integer compare kernel, including the Eq/Ne
+ *  runtime pointer-kind check. */
 inline bool
 cmpCompute(uint8_t sub, const RtValue &a, const RtValue &b)
 {
@@ -649,10 +646,6 @@ resync:
         return;
     frp = &t.frames.back();
     dfnp = frp->dfn;
-    if (!dfnp->fused) {
-        runBurst(t); // defensive: overlay missing, burst stepwise
-        return;
-    }
     insts = dfnp->insts.data();
     recs = dfnp->fused->recs.data();
     consts = dfnp->consts.data();
@@ -944,7 +937,7 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     f.fn = fn;
     f.wantsRet = wants_ret;
     f.retReg = ret_reg;
-    if (engineDecoded_) {
+    if (engineFused_) {
         f.dfn = dfn ? dfn : decoded_->of(fn);
         f.map = nullptr;
         f.regs.resize(f.dfn->regCount);
@@ -1222,8 +1215,6 @@ Interp::cellAt(Ptr p, const char *what)
 RtValue *
 Interp::cellAtCached(Thread &t, Ptr p, const char *what)
 {
-    if (!cfg_.memHandleCache)
-        return cellAt(p, what);
     switch (p.seg) {
       case Ptr::Seg::Heap: {
         HeapBlock *hb;
@@ -1773,7 +1764,7 @@ Interp::execCall(Thread &t, const Instruction &inst)
     }
     // Builtin: pre-fetch the runtime-valued operands (string/function
     // constants have none; the handlers read those through the
-    // instruction, exactly like the decoded engine).
+    // instruction, exactly like the fused engine).
     RtValue vals[4] = {};
     unsigned n = std::min(inst.numOperands(), 4u);
     for (unsigned i = 0; i < n; ++i) {
@@ -1789,7 +1780,7 @@ Interp::execCall(Thread &t, const Instruction &inst)
 }
 
 //
-// Instruction dispatch (decoded engine).
+// Instruction dispatch (fused engine, stepwise).
 //
 
 void
@@ -1821,17 +1812,19 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
         f.regs[di.dst] = p;
         break;
       }
+      // Integer arithmetic: the trap-free kernel shared with the fused
+      // burst; only the division traps and the INT64_MIN / -1 guards
+      // live here.
       case Opcode::Add:
-        f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) + uint64_t(val(di.b).i)));
-        break;
       case Opcode::Sub:
-        f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) - uint64_t(val(di.b).i)));
-        break;
       case Opcode::Mul:
+      case Opcode::And:
+      case Opcode::Or:
+      case Opcode::Xor:
+      case Opcode::Shl:
+      case Opcode::Shr:
         f.regs[di.dst] = RtValue::ofInt(
-            int64_t(uint64_t(val(di.a).i) * uint64_t(val(di.b).i)));
+            aluCompute(uint8_t(di.op), val(di.a).i, val(di.b).i));
         break;
       case Opcode::SDiv: {
         int64_t d = val(di.b).i;
@@ -1840,11 +1833,9 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
             break;
         }
         int64_t a = val(di.a).i;
-        if (d == -1 && a == INT64_MIN) {
-            f.regs[di.dst] = RtValue::ofInt(INT64_MIN); // wraps
-            break;
-        }
-        f.regs[di.dst] = RtValue::ofInt(a / d);
+        f.regs[di.dst] = RtValue::ofInt(
+            d == -1 && a == INT64_MIN ? INT64_MIN // wraps
+                                      : aluCompute(uint8_t(di.op), a, d));
         break;
       }
       case Opcode::SRem: {
@@ -1853,27 +1844,10 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
             fail(Outcome::Trap, "remainder by zero", di.src);
             break;
         }
-        f.regs[di.dst] =
-            RtValue::ofInt(d == -1 ? 0 : val(di.a).i % d);
+        f.regs[di.dst] = RtValue::ofInt(
+            d == -1 ? 0 : aluCompute(uint8_t(di.op), val(di.a).i, d));
         break;
       }
-      case Opcode::And:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i & val(di.b).i);
-        break;
-      case Opcode::Or:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i | val(di.b).i);
-        break;
-      case Opcode::Xor:
-        f.regs[di.dst] = RtValue::ofInt(val(di.a).i ^ val(di.b).i);
-        break;
-      case Opcode::Shl:
-        f.regs[di.dst] = RtValue::ofInt(int64_t(
-            uint64_t(val(di.a).i) << (uint64_t(val(di.b).i) & 63)));
-        break;
-      case Opcode::Shr:
-        f.regs[di.dst] =
-            RtValue::ofInt(val(di.a).i >> (uint64_t(val(di.b).i) & 63));
-        break;
       case Opcode::FAdd:
         f.regs[di.dst] = RtValue::ofFloat(val(di.a).f + val(di.b).f);
         break;
@@ -1887,27 +1861,13 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
         f.regs[di.dst] = RtValue::ofFloat(val(di.a).f / val(di.b).f);
         break;
       case Opcode::ICmpEq:
-      case Opcode::ICmpNe: {
-        const RtValue &a = val(di.a);
-        const RtValue &b = val(di.b);
-        bool eq = (a.kind == ir::Type::Ptr || b.kind == ir::Type::Ptr)
-                      ? a.p == b.p
-                      : a.i == b.i;
-        f.regs[di.dst] =
-            RtValue::ofBool(di.op == Opcode::ICmpEq ? eq : !eq);
-        break;
-      }
+      case Opcode::ICmpNe:
       case Opcode::ICmpSlt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i < val(di.b).i);
-        break;
       case Opcode::ICmpSle:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i <= val(di.b).i);
-        break;
       case Opcode::ICmpSgt:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i > val(di.b).i);
-        break;
       case Opcode::ICmpSge:
-        f.regs[di.dst] = RtValue::ofBool(val(di.a).i >= val(di.b).i);
+        f.regs[di.dst] = RtValue::ofBool(
+            cmpCompute(uint8_t(di.op), val(di.a), val(di.b)));
         break;
       case Opcode::FCmpEq:
         f.regs[di.dst] = RtValue::ofBool(val(di.a).f == val(di.b).f);
@@ -2206,7 +2166,7 @@ namespace {
 
 /** Would executing @p inst end the current idempotent window?  The
  *  mirror of ca::destroysIdempotency, used by chaos injection (the
- *  decoded engine bakes this into DecodedInst::dirties). */
+ *  fused engine bakes this into DecodedInst::dirties). */
 bool
 dirtiesWindow(const Instruction &inst)
 {

@@ -13,13 +13,16 @@
  *    equivalent of the paper's setjmp/longjmp register-image library.
  *
  * Two execution engines share all of the VM's semantics (memory, locks,
- * scheduling, the ConAir runtime) and differ only in how a single
- * instruction is fetched and its operands resolved:
- *  - ExecEngine::Decoded (default) runs the pre-decoded flat arrays
+ * scheduling, the ConAir runtime) and differ only in how instructions
+ * are fetched and their operands resolved:
+ *  - ExecEngine::Fused (default) runs the pre-decoded flat arrays
  *    built at construction (see decode.h), with a per-thread last-block
- *    memory-handle cache and a single-runnable scheduler fast path;
+ *    memory-handle cache, and drains scheduler fast-path bursts through
+ *    superinstruction records (fuse.h);
  *  - ExecEngine::Reference walks the IR tree exactly like the original
- *    interpreter (hash per operand, pointer chasing per branch).
+ *    interpreter (hash per operand, pointer chasing per branch) and is
+ *    the independent referee the differential tests and the campaign's
+ *    differential legs compare Fused against.
  * Both engines are deterministic and tick-for-tick identical; the
  * differential tests in tests/vm/decode_diff_test.cpp enforce it.
  */
@@ -62,7 +65,7 @@ class Interp
         const ir::BasicBlock *block = nullptr;
         ir::BasicBlock::InstList::const_iterator pc;
         const ir::BasicBlock *prevBlock = nullptr;
-        // Decoded engine position (flat indices).
+        // Fused engine position (flat indices).
         const DecodedFunction *dfn = nullptr;
         uint32_t dBlock = 0;
         uint32_t dPc = 0;
@@ -213,7 +216,7 @@ class Interp
     void setReg(Frame &f, const ir::Instruction *inst, RtValue v);
     void jumpTo(Thread &t, const ir::BasicBlock *target);
 
-    // Decoded engine (flat arrays).
+    // Fused engine, stepwise (flat arrays).
     void execDecoded(Thread &t, const DecodedInst &di);
     void execCallDecoded(Thread &t, const DecodedInst &di);
     void jumpToDecoded(Thread &t, uint32_t target);
@@ -243,7 +246,7 @@ class Interp
     //
 
     RtValue *cellAt(Ptr p, const char *what);
-    /** cellAt with the per-thread block-handle cache (decoded engine). */
+    /** cellAt with the per-thread block-handle cache (fused engine). */
     RtValue *cellAtCached(Thread &t, Ptr p, const char *what);
     bool pointerValid(Ptr p) const;
     void doStore(Thread &t, const ir::Instruction &inst);
@@ -313,7 +316,8 @@ class Interp
     void runBurst(Thread &t);
     /** The fused engine's burst: dispatches superinstruction records
      *  (fuse.h) under a precomputed step budget.  Charges identical
-     *  per-instruction accounting to runBurst / stepwise execution. */
+     *  per-instruction accounting to runBurst / stepwise execution.
+     *  runBurst stays the Reference engine's burst. */
     void runBurstFused(Thread &t);
 
     /** How a fused fast-path memory attempt ended. */
@@ -325,7 +329,7 @@ class Interp
     /** Cache-hit cell resolution for the fused burst: returns the cell
      *  only when the per-thread handle cache (or the globals array)
      *  proves the access in bounds and live; nullptr means "delegate"
-     *  (miss, fault, or cache disabled), never a diagnosed failure. */
+     *  (miss or fault), never a diagnosed failure. */
     RtValue *fusedCellFast(Thread &t, Ptr p);
     FastMem fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
                          const RtValue *consts);
@@ -404,13 +408,10 @@ class Interp
     /** Per-rule fire counts; deliberately NOT part of WpSnapshot. */
     std::vector<uint64_t> hintFires_;
 
-    /** The pre-decoded module (built for the Decoded and Fused
-     *  engines; the reference engine simply ignores it). */
+    /** The pre-decoded, fused module (built for ExecEngine::Fused; the
+     *  reference engine simply ignores it). */
     std::unique_ptr<DecodedModule> decoded_;
-    bool engineDecoded_ = true;
-    /** ExecEngine::Fused: decoded_ carries the fusion overlay and the
-     *  burst path dispatches superinstructions. */
-    bool engineFused_ = false;
+    bool engineFused_ = true;
 
     // Memory.
     std::vector<std::vector<RtValue>> globals_;

@@ -270,8 +270,9 @@ TEST_F(CampaignFixture, OraclesHoldOnRealKernels)
 
 TEST_F(CampaignFixture, FusedDifferentialHoldsOnAllKernels)
 {
-    // The opt-in Fused replica joins the tick-identity oracle on every
-    // leg: run the whole Table 2 registry and require zero divergence.
+    // The primary legs run on Fused and the default Reference replica
+    // referees every one of them: run the whole Table 2 registry and
+    // require zero divergence.
     std::vector<apps::CampaignApp> prepared;
     for (const apps::AppSpec &spec : apps::allApps())
         prepared.push_back(apps::prepareCampaignApp(spec));
@@ -279,13 +280,12 @@ TEST_F(CampaignFixture, FusedDifferentialHoldsOnAllKernels)
 
     CampaignOptions opts = smallOptions();
     opts.seedsPerPolicy = 3;
-    opts.fusedDifferential = true;
     CampaignReport rep = runCampaign(targets, opts);
     EXPECT_EQ(rep.divergences, 0u) << rep.summary();
     EXPECT_GT(rep.schedules, 0u);
-    // Each chaos-free leg ran three engines' worth of VM runs; the
-    // aggregate must reflect the extra replicas.
-    EXPECT_GT(rep.vmRuns, 2 * rep.schedules);
+    // Not vacuous: every unhardened leg had its Reference replica.
+    EXPECT_GT(rep.vmRuns, rep.schedules);
+    EXPECT_GE(rep.vmRuns, 2 * rep.schedules);
 }
 
 TEST_F(CampaignFixture, StopAfterFailuresSkipsWork)

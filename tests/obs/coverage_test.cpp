@@ -20,7 +20,7 @@
  *
  *  4. *Passivity.*  A run with coverage-grade recording attached
  *     (recorder + diagnosis mode) is tick-for-tick identical to the
- *     bare run on all three execution engines — including memDigest.
+ *     bare run on both execution engines — including memDigest.
  */
 #include <gtest/gtest.h>
 
@@ -348,8 +348,7 @@ TEST(CoveragePassivity, InstrumentedRunTickIdenticalOnAllEngines)
     apps::PreparedApp p = apps::prepareApp(*spec, hopts);
 
     for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::VmConfig cfg;
         cfg.policy = vm::SchedPolicy::Pct;
         cfg.seed = 7;

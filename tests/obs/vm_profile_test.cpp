@@ -3,9 +3,9 @@
  * VM <-> recovery-cost profiler integration tests.  The load-bearing
  * property is *passivity*: attaching a PhaseProfiler through
  * VmConfig::profiler is pure observation — the profiled run is tick-
- * and memDigest-identical to a bare one on all three engines, with and
+ * and memDigest-identical to a bare one on both engines, with and
  * without chaos injection.  This is the contract that lets the
- * campaign profile every hardened leg while the bare Reference/Fused
+ * campaign profile every hardened leg while the bare Reference
  * replicas keep the tick-identity oracle meaningful.
  *
  * Non-vacuity is asserted throughout: the runs under test really roll
@@ -32,7 +32,6 @@ const char *
 engineName(vm::ExecEngine e)
 {
     switch (e) {
-      case vm::ExecEngine::Decoded: return "Decoded";
       case vm::ExecEngine::Reference: return "Reference";
       case vm::ExecEngine::Fused: return "Fused";
     }
@@ -68,14 +67,13 @@ expectIdentical(const vm::RunResult &bare, const vm::RunResult &prof,
     EXPECT_EQ(prof.memDigest, bare.memDigest) << what;
 }
 
-TEST(VmProfile, ProfiledRunIsTickIdenticalOnAllThreeEngines)
+TEST(VmProfile, ProfiledRunIsTickIdenticalOnBothEngines)
 {
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
     for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::VmConfig cfg = mysqlSpec().buggyConfig;
         cfg.seed = 1;
         cfg.engine = engine;
@@ -98,17 +96,16 @@ TEST(VmProfile, ProfiledRunIsTickIdenticalOnAllThreeEngines)
 
 TEST(VmProfile, EnginesAgreeOnTheProfileItself)
 {
-    // Stronger than passivity: because all three engines retire the
+    // Stronger than passivity: because both engines retire the
     // same steps in the same order, the *profiler contents* must be
     // identical too — same phase ticks, same episodes, same tax.
     apps::PreparedApp p =
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
-    ProfileAgg agg[3];
+    ProfileAgg agg[2];
     size_t i = 0;
     for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::VmConfig cfg = mysqlSpec().buggyConfig;
         cfg.seed = 1;
         cfg.engine = engine;
@@ -119,7 +116,6 @@ TEST(VmProfile, EnginesAgreeOnTheProfileItself)
         agg[i++].add(prof);
     }
     EXPECT_EQ(agg[0], agg[1]);
-    EXPECT_EQ(agg[1], agg[2]);
 }
 
 TEST(VmProfile, ProfiledChaosRunStaysPassive)
@@ -131,8 +127,7 @@ TEST(VmProfile, ProfiledChaosRunStaysPassive)
         apps::prepareApp(mysqlSpec(), apps::HardenOptions{});
 
     for (vm::ExecEngine engine :
-         {vm::ExecEngine::Reference, vm::ExecEngine::Decoded,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::VmConfig cfg = mysqlSpec().cleanConfig;
         cfg.seed = 11;
         cfg.engine = engine;

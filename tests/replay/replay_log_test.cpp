@@ -61,14 +61,35 @@ TEST(ReplayLog, SerializeParsesBackByteIdentically)
 TEST(ReplayLog, EngineNamesRoundTrip)
 {
     for (vm::ExecEngine e :
-         {vm::ExecEngine::Decoded, vm::ExecEngine::Reference,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         vm::ExecEngine back{};
         ASSERT_TRUE(engineFromName(engineName(e), back));
         EXPECT_EQ(back, e);
     }
     vm::ExecEngine e{};
     EXPECT_FALSE(engineFromName("turbo", e));
+}
+
+TEST(ReplayLog, DecodedEngineLogsLoadAsFused)
+{
+    // Logs written while the retired Decoded engine was the default
+    // name it; they must keep loading, under the engine that replaced
+    // it, and re-serialise under the new name.
+    ReplayLog log = sampleLog();
+    log.engine = vm::ExecEngine::Fused;
+    std::string text = log.serialize();
+    const std::string fused = "engine fused\n";
+    const size_t at = text.find(fused);
+    ASSERT_NE(at, std::string::npos);
+    std::string v1 = text;
+    v1.replace(at, fused.size(), "engine decoded\n");
+
+    ReplayLog parsed;
+    std::string err;
+    ASSERT_TRUE(parseReplayLog(v1, parsed, err)) << err;
+    EXPECT_EQ(parsed.engine, vm::ExecEngine::Fused);
+    EXPECT_EQ(parsed, log);
+    EXPECT_EQ(parsed.serialize(), text);
 }
 
 TEST(ReplayLog, ParserRejectsMalformedInput)

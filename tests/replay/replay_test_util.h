@@ -56,7 +56,7 @@ isFailure(const vm::RunResult &r)
 inline bool
 recordFailure(const char *name, RecordedFailure &out,
               bool diagMode = false,
-              vm::ExecEngine engine = vm::ExecEngine::Decoded)
+              vm::ExecEngine engine = vm::ExecEngine::Fused)
 {
     const apps::AppSpec *spec = apps::findApp(name);
     if (!spec) {

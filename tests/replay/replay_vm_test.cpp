@@ -23,8 +23,7 @@ TEST(ReplayVm, ReplayIsFaithfulOnAllEngines)
     ASSERT_FALSE(rf.log.switches.empty());
 
     for (vm::ExecEngine e :
-         {vm::ExecEngine::Decoded, vm::ExecEngine::Reference,
-          vm::ExecEngine::Fused}) {
+         {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {
         ReplayRun rr = replayLog(*rf.target.plain, rf.log, e);
         EXPECT_TRUE(rr.faithful)
             << engineName(e) << ": " << rr.mismatch;
@@ -84,7 +83,7 @@ TEST(ReplayVm, TolerantReplayOfFullListReproduces)
     ASSERT_TRUE(testutil::recordFailure("ZSNES", rf));
     vm::RunResult r = replayTolerant(*rf.target.plain, rf.log,
                                      rf.log.switches,
-                                     vm::ExecEngine::Decoded);
+                                     vm::ExecEngine::Fused);
     EXPECT_EQ(vm::outcomeName(r.outcome), rf.log.outcome);
     EXPECT_EQ(r.failureTag, rf.log.failureTag);
 }
@@ -98,7 +97,7 @@ TEST(ReplayVm, StrictReplayFlagsPerturbedLog)
     ReplayLog tampered = rf.log;
     tampered.finalSteps += 1;
     ReplayRun rr = replayLog(*rf.target.plain, tampered,
-                             vm::ExecEngine::Decoded);
+                             vm::ExecEngine::Fused);
     EXPECT_FALSE(rr.faithful);
     EXPECT_NE(rr.mismatch.find("steps"), std::string::npos)
         << rr.mismatch;
@@ -108,7 +107,7 @@ TEST(ReplayVm, StrictReplayFlagsPerturbedLog)
     ASSERT_FALSE(rf.log.switches.empty());
     ReplayLog broken = rf.log;
     broken.switches[0].tid = 9999;
-    rr = replayLog(*rf.target.plain, broken, vm::ExecEngine::Decoded);
+    rr = replayLog(*rf.target.plain, broken, vm::ExecEngine::Fused);
     EXPECT_FALSE(rr.faithful);
 }
 
@@ -151,7 +150,7 @@ TEST(ReplayVm, LogRoundTripsThroughDisk)
     EXPECT_EQ(loaded, rf.log);
 
     ReplayRun rr =
-        replayLog(*rf.target.plain, loaded, vm::ExecEngine::Decoded);
+        replayLog(*rf.target.plain, loaded, vm::ExecEngine::Fused);
     EXPECT_TRUE(rr.faithful) << rr.mismatch;
 }
 

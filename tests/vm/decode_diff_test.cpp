@@ -1,13 +1,13 @@
 /**
  * @file
- * Differential testing of the three execution engines.
+ * Differential testing of the two execution engines.
  *
- * The pre-decoded engine (ExecEngine::Decoded, with its scheduler fast
- * path and memory-handle cache) and the superinstruction engine
- * (ExecEngine::Fused) must be *tick-for-tick* identical to the
- * reference tree-walking engine: same outcome, output, failure
- * diagnostics, virtual clock, step counts, final-memory digest, and
- * recovery events for every program and seed.  These tests run the bundled example
+ * The production engine (ExecEngine::Fused: pre-decoded arrays, the
+ * memory-handle cache, and superinstruction bursts on the scheduler
+ * fast path) must be *tick-for-tick* identical to the reference
+ * tree-walking engine: same outcome, output, failure diagnostics,
+ * virtual clock, step counts, final-memory digest, and recovery
+ * events for every program and seed.  These tests run the bundled example
  * programs and the whole Table 2 application registry (hardened and
  * unhardened, clean and failure-forcing schedules, plus the
  * whole-program-checkpoint and chaos modes) under both engines and
@@ -72,37 +72,28 @@ expectSameRun(const RunResult &a, const RunResult &b,
     }
 }
 
-/** Every hot-path knob combination that must agree: the decoded
- *  production default, each optimisation disabled on its own, and the
- *  reference engine with and without the scheduler fast path. */
+/** Every hot-path configuration that must agree: both engines, each
+ *  with and without the scheduler fast path.  Reference resolves every
+ *  memory access through the uncached map lookup, so it also referees
+ *  the fused engine's memory-handle cache. */
 std::vector<std::pair<const char *, VmConfig>>
 engineVariants(VmConfig base)
 {
-    base.engine = ExecEngine::Decoded;
+    base.engine = ExecEngine::Fused;
     base.schedFastPath = true;
-    base.memHandleCache = true;
 
     VmConfig no_burst = base;
     no_burst.schedFastPath = false;
-    VmConfig no_cache = base;
-    no_cache.memHandleCache = false;
     VmConfig ref = base;
     ref.engine = ExecEngine::Reference;
     ref.schedFastPath = false;
     VmConfig ref_burst = base;
     ref_burst.engine = ExecEngine::Reference;
-    VmConfig fused = base;
-    fused.engine = ExecEngine::Fused;
-    VmConfig fused_no_burst = fused;
-    fused_no_burst.schedFastPath = false;
 
-    return {{"decoded", base},
-            {"decoded/no-burst", no_burst},
-            {"decoded/no-memcache", no_cache},
+    return {{"fused", base},
+            {"fused/no-burst", no_burst},
             {"reference", ref},
-            {"reference/burst", ref_burst},
-            {"fused", fused},
-            {"fused/no-burst", fused_no_burst}};
+            {"reference/burst", ref_burst}};
 }
 
 void
@@ -114,7 +105,7 @@ diffAllVariants(const ir::Module &m, const VmConfig &base,
     for (size_t i = 1; i < variants.size(); ++i) {
         RunResult r = runProgram(m, variants[i].second);
         expectSameRun(first, r,
-                      ctx + " [" + variants[i].first + " vs decoded]");
+                      ctx + " [" + variants[i].first + " vs fused]");
     }
 }
 

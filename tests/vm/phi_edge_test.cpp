@@ -1,15 +1,15 @@
 /**
  * @file
- * Phi parallel-copy edge cases on all three execution engines.
+ * Phi parallel-copy edge cases on both execution engines.
  *
  * SSA phi nodes at a block head are one atomic parallel copy: every
  * incoming value is read before any destination is written.  The
  * classic ways to get this wrong — swap cycles, the lost-copy
  * problem, self-referential phis — are pinned here as regression
- * tests, and each program runs on Reference, Decoded, and Fused so
- * every phi-copy implementation (the tree walk, jumpToDecoded's
- * scratch copy, and the fused engine's pre-resolved inline edges)
- * faces the same cases.  Blocks with more phis than the fused
+ * tests, and each program runs on Reference and on Fused with and
+ * without the scheduler burst, so every phi-copy implementation (the
+ * tree walk, jumpToDecoded's scratch copy, and the fused engine's
+ * pre-resolved inline edges) faces the same cases.  Blocks with more phis than the fused
  * engine's inline-edge capacity (kMaxInlinePhi) are included so the
  * delegated slow path is covered too.
  */
@@ -42,7 +42,6 @@ expectExitOnAllEngines(const std::string &irText, int64_t expected,
     };
     const Variant variants[] = {
         {"reference", ExecEngine::Reference, false},
-        {"decoded", ExecEngine::Decoded, true},
         {"fused", ExecEngine::Fused, true},
         {"fused/no-burst", ExecEngine::Fused, false},
     };
