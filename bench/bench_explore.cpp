@@ -43,8 +43,10 @@
  *   --timeline    (--repro only) print the human-readable recovery
  *                 timeline to stdout
  *   --diagnose [APP] TOKEN
- *                 replay one schedule in diagnosis recording mode and
- *                 print the postmortem RecoveryReport (racy pair,
+ *                 capture one schedule (explore/evidence.h: the
+ *                 unhardened leg and, when it fails, the chaos-free
+ *                 hardened leg, recorded in diagnosis mode) and print
+ *                 the postmortem RecoveryReport (racy pair,
  *                 scheduler-switch window, bug-pattern verdict, ASCII
  *                 interleaving diagram).  APP defaults to ZSNES.  As a
  *                 bare flag after --repro APP TOKEN it diagnoses that
@@ -131,19 +133,31 @@
  *                 DIR/<kernel>.corpus ("conair-corpus v1" — see
  *                 docs/EXPLORATION.md for the format)
  *
- * Campaign mode additionally runs the fix pass on every kernel whose
- * failure it rediscovered and diagnosed; the per-kernel result lands
- * in BENCH_explore.json as kernels[].fix, and outside smoke mode a
- * kernel whose patch fails validation fails the bench.
+ * After the campaign, every kernel whose failure it rediscovered is
+ * captured once (explore/evidence.h) and gets its diagnosis, its
+ * replay-corpus log and a synthesized, validated fix from that one
+ * recording: kernels[].diagnosis, kernels[].replay_log and
+ * kernels[].fix (the --fix-json patch document) in BENCH_explore.json.
+ * Outside smoke mode a kernel whose patch fails validation fails the
+ * bench.
+ *
+ * The command line is strict: an unknown flag (--help included), a
+ * missing value, a stray operand, or a count that is not a number
+ * prints the usage text and exits 2.
  */
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
 #include "explore/campaign.h"
+#include "explore/evidence.h"
 #include "explore/guided.h"
 #include "explore/telemetry.h"
 #include "fix/fix.h"
@@ -186,24 +200,6 @@ splitList(const std::string &s)
     return out;
 }
 
-const char *
-argString(int argc, char **argv, const char *flag, const char *def)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return argv[i + 1];
-    return def;
-}
-
-bool
-hasFlag(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return true;
-    return false;
-}
-
 bool
 writeFile(const std::string &path, const std::string &content)
 {
@@ -216,41 +212,121 @@ writeFile(const std::string &path, const std::string &content)
     return true;
 }
 
-/** A flag whose value is optional ("--profile" vs "--profile FILE"):
- *  returns (present, value), the value empty when the next argv entry
- *  is absent or another flag. */
-std::pair<bool, std::string>
-argOptValue(int argc, char **argv, const char *flag)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0) {
-            if (i + 1 < argc && argv[i + 1][0] != '-')
-                return {true, argv[i + 1]};
-            return {true, std::string()};
-        }
-    return {false, std::string()};
-}
+const char kUsage[] =
+    "usage: bench_explore [--smoke] [--seeds N] [--workers N] [--apps A,B]\n"
+    "         [--policies L] [--no-speedup] [--guided] [--guided-budget N]\n"
+    "         [--corpus-dir D] [--replay-dir D] [--abort-dir D] [--trace F]\n"
+    "         [--metrics F] [--profile [F]] [--serve PORT] "
+    "[--serve-port-file F]\n"
+    "   or: bench_explore --repro APP TOKEN [--trace F] [--metrics F]\n"
+    "         [--timeline] [--diagnose [--diagnose-json F]]\n"
+    "         [--record-replay F [--minimize]] [--profile [F]]\n"
+    "   or: bench_explore --diagnose [APP] TOKEN [--diagnose-json F]\n"
+    "   or: bench_explore --replay LOG [--engine reference|fused] "
+    "[--timeline]\n"
+    "         [--diagnose] [--trace F] [--profile [F]]\n"
+    "   or: bench_explore --fix [APP] [TOKEN] [--fix-json F] [--seeds N] "
+    "[--workers N]\n";
 
-/** Writes the profile artifacts: speedscope JSON at @p path, folded
- *  flamegraph stacks next to it (.folded extension). */
-bool
-writeProfileArtifacts(const obs::prof::ProfileDoc &doc,
-                      const std::string &name, const std::string &path)
+/**
+ * The strict command line: every argument is a known flag, that
+ * flag's value, or one of the operands of --repro/--diagnose/--fix.
+ * Anything else — an unknown flag (--help included), a missing value,
+ * a stray operand, a non-numeric or overflowing count — is a one-line
+ * error plus the usage text and exit 2.
+ */
+class Args
 {
-    if (!writeFile(path, obs::prof::speedscopeJson(doc, name) + "\n"))
+  public:
+    bool
+    parse(int argc, char **argv)
+    {
+        enum Arity { Bare, Value, OptValue, Operands };
+        static const std::map<std::string, Arity> kFlags = {
+            {"--smoke", Bare},          {"--no-speedup", Bare},
+            {"--timeline", Bare},       {"--minimize", Bare},
+            {"--guided", Bare},         {"--seeds", Value},
+            {"--workers", Value},       {"--apps", Value},
+            {"--policies", Value},      {"--trace", Value},
+            {"--metrics", Value},       {"--diagnose-json", Value},
+            {"--abort-dir", Value},     {"--replay", Value},
+            {"--engine", Value},        {"--record-replay", Value},
+            {"--replay-dir", Value},    {"--fix-json", Value},
+            {"--serve", Value},         {"--serve-port-file", Value},
+            {"--guided-budget", Value}, {"--corpus-dir", Value},
+            {"--profile", OptValue},    {"--repro", Operands},
+            {"--diagnose", Operands},   {"--fix", Operands},
+        };
+        auto isOperand = [&](int i) {
+            return i < argc && argv[i][0] != '-';
+        };
+        for (int i = 1; i < argc; ++i) {
+            auto it = kFlags.find(argv[i]);
+            if (it == kFlags.end())
+                return fail(std::string(argv[i][0] == '-'
+                                            ? "unknown flag '"
+                                            : "unexpected operand '") +
+                            argv[i] + "'");
+            const std::string &flag = it->first;
+            const Arity arity = it->second;
+            std::string &value = values_[flag]; // marks flag present
+            std::vector<std::string> &ops = operands_[flag];
+            if (arity == Value && !isOperand(i + 1))
+                return fail(flag + " needs a value");
+            if (arity == Value || (arity == OptValue && isOperand(i + 1)))
+                value = argv[++i];
+            while (arity == Operands && isOperand(i + 1))
+                ops.push_back(argv[++i]);
+        }
+        for (const char *flag :
+             {"--seeds", "--workers", "--guided-budget", "--serve"}) {
+            uint64_t v = 0;
+            if (has(flag) && (!parseU64(str(flag), v) || v > UINT_MAX))
+                return fail(std::string(flag) + ": '" + str(flag) +
+                            "' is not a number (digits only, no "
+                            "overflow)");
+        }
+        return true;
+    }
+
+    bool has(const char *flag) const { return values_.count(flag) > 0; }
+
+    std::string
+    str(const char *flag, const char *def = "") const
+    {
+        auto it = values_.find(flag);
+        return it == values_.end() || it->second.empty() ? def
+                                                         : it->second;
+    }
+
+    /** A count flag's value (parse() vetted it), @p def if absent. */
+    unsigned
+    num(const char *flag, unsigned def) const
+    {
+        uint64_t v = def;
+        parseU64(str(flag), v);
+        return unsigned(v);
+    }
+
+    /** The operands of @p flag, which must be present. */
+    const std::vector<std::string> &
+    operands(const char *flag) const
+    {
+        return operands_.at(flag);
+    }
+
+  private:
+    bool
+    fail(const std::string &msg)
+    {
+        std::fprintf(stderr, "bench_explore: %s\n%s", msg.c_str(),
+                     kUsage);
         return false;
-    std::printf("wrote %s (speedscope JSON)\n", path.c_str());
-    std::string folded = path;
-    size_t dot = folded.rfind('.');
-    if (dot != std::string::npos &&
-        folded.find('/', dot) == std::string::npos)
-        folded.resize(dot);
-    folded += ".folded";
-    if (!writeFile(folded, obs::prof::foldedStacks(doc)))
-        return false;
-    std::printf("wrote %s (folded stacks)\n", folded.c_str());
-    return true;
-}
+    }
+
+    std::map<std::string, std::string> values_;
+    std::map<std::string, std::vector<std::string>> operands_;
+};
 
 /**
  * Traces one (target, schedule) cell and emits the requested
@@ -260,10 +336,11 @@ writeProfileArtifacts(const obs::prof::ProfileDoc &doc,
  */
 bool
 traceSchedule(const Target &target, const ScheduleSpec &s,
-              CampaignOptions opts, const std::string &appName,
-              const std::string &tracePath,
-              const std::string &metricsPath, bool timeline)
+              CampaignOptions opts, const Args &a)
 {
+    const std::string &appName = target.name;
+    const std::string tracePath = a.str("--trace");
+    const std::string metricsPath = a.str("--metrics");
     // Diagnosis-grade recording (shared accesses on): the coverage
     // fold below needs the access sites, and the campaign's coverage
     // legs record the same way — so the cross-checked edge set here is
@@ -304,17 +381,12 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
         std::printf("wrote %s\n", metricsPath.c_str());
         // The same registry in Prometheus text exposition format, for
         // scrape-style consumers (docs/OBSERVABILITY.md).
-        std::string promPath = metricsPath;
-        size_t dot = promPath.rfind('.');
-        if (dot != std::string::npos && promPath.find('/', dot) ==
-                                            std::string::npos)
-            promPath.resize(dot);
-        promPath += ".prom";
+        std::string promPath = withExtension(metricsPath, ".prom");
         if (!writeFile(promPath, o.metrics.toPrometheusText()))
             return false;
         std::printf("wrote %s\n", promPath.c_str());
     }
-    if (timeline) {
+    if (a.has("--timeline")) {
         std::printf("--- recovery timeline (hardened leg) ---\n%s",
                     obs::recoveryTimeline(hardenedRec).c_str());
     }
@@ -394,31 +466,18 @@ traceSchedule(const Target &target, const ScheduleSpec &s,
 }
 
 /**
- * Replays (target, schedule) in diagnosis recording mode and prints
- * the postmortem RecoveryReport.  The hardened leg is diagnosed when
- * it tells a recovery story (RecoveryDone / FailureSite events);
- * otherwise the unhardened leg's terminal failure is.  Returns false
- * when no diagnosis could be produced at all.
+ * Captures (target, schedule) — the failing cell recorded once, see
+ * explore/evidence.h — and prints its postmortem RecoveryReport.
+ * Returns false when the diagnosis found no episode.
  */
 bool
 diagnoseSchedule(const Target &target, const ScheduleSpec &s,
-                 CampaignOptions opts, const std::string &appName,
-                 const std::string &jsonPath)
+                 const CampaignOptions &opts, const std::string &jsonPath)
 {
-    obs::FlightRecorder plainRec(65536), hardRec(65536);
-    ScheduleInstruments ins{&plainRec, &hardRec};
-    ins.recordSharedAccesses = true;
-    runOneSchedule(target, s, opts, &ins);
-
-    bool useHard =
-        target.hardened &&
-        (hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-         hardRec.totalOf(obs::EventKind::FailureSite) > 0);
-    obs::pm::RecoveryReport rep = obs::pm::diagnose(
-        useHard ? hardRec : plainRec,
-        useHard ? *target.hardened : *target.plain, appName, s.token());
-    std::printf("diagnosing the %s leg\n",
-                useHard ? "hardened" : "unhardened");
+    FailureEvidence ev =
+        captureFailure(target, cellConfig(target, s, opts), s.token());
+    const obs::pm::RecoveryReport &rep = ev.diagnosis.report;
+    std::printf("diagnosing the %s leg\n", ev.diagnosis.leg());
     std::printf("%s", obs::pm::renderText(rep).c_str());
     if (!jsonPath.empty()) {
         if (!writeFile(jsonPath, obs::pm::toJson(rep) + "\n"))
@@ -428,49 +487,25 @@ diagnoseSchedule(const Target &target, const ScheduleSpec &s,
     return !rep.episodes.empty();
 }
 
-/** The campaign base config for (target, spec) — mirrors
- *  explore::runOneSchedule's unhardened leg. */
-vm::VmConfig
-campaignBaseConfig(const Target &target, const ScheduleSpec &s,
-                   const CampaignOptions &opts)
-{
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = target.horizon;
-    cfg.quantum = target.quantum;
-    cfg.maxSteps = opts.maxSteps;
-    cfg.maxRetries = opts.maxRetries;
-    return cfg;
-}
-
 /**
- * --repro --record-replay: record the unhardened leg of (target,
- * schedule) replay-grade, optionally ddmin-minimise, verify, and save.
+ * --repro --record-replay: the unhardened leg of (target, schedule)
+ * recorded replay-grade, optionally ddmin-minimised, verified, saved.
  */
-int
+bool
 recordReplayLog(const Target &target, const ScheduleSpec &s,
-                const CampaignOptions &opts, const std::string &appName,
-                const std::string &path, bool minimize)
+                const CampaignOptions &opts, const std::string &path,
+                bool minimize)
 {
-    vm::VmConfig cfg = campaignBaseConfig(target, s, opts);
-    obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    cfg.recorder = &rec;
-    cfg.recordSharedAccesses = true;
-    vm::RunResult r = vm::runProgram(*target.plain, cfg);
-    cfg.recorder = nullptr;
-    cfg.recordSharedAccesses = false;
-
-    obs::replay::ReplayLog log;
-    std::string err;
-    if (!obs::replay::buildReplayLog(appName, s.token(), cfg, rec, r,
-                                     log, err)) {
-        std::fprintf(stderr, "record failed: %s\n", err.c_str());
-        return 1;
+    FailureEvidence ev =
+        captureFailure(target, cellConfig(target, s, opts), s.token());
+    if (!ev.hasLog) {
+        std::fprintf(stderr, "record failed: %s\n", ev.logError.c_str());
+        return false;
     }
+    obs::replay::ReplayLog &log = ev.log;
     if (minimize) {
-        obs::replay::MinimizeOptions mo;
         obs::replay::MinimizeResult res =
-            obs::replay::minimizeReplayLog(*target.plain, log, mo);
+            obs::replay::minimizeReplayLog(*target.plain, log);
         if (res.ok) {
             std::printf("minimised: %zu -> %zu switches (%llu "
                         "replay probes)\n",
@@ -489,39 +524,79 @@ recordReplayLog(const Target &target, const ScheduleSpec &s,
     if (!check.faithful) {
         std::fprintf(stderr, "recorded log failed verification: %s\n",
                      check.mismatch.c_str());
-        return 1;
+        return false;
     }
+    std::string err;
     if (!obs::replay::saveReplayLog(path, log, err)) {
         std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
+        return false;
     }
     std::printf("wrote %s (%zu switches, %zu lock acquisitions, "
                 "outcome %s)\n",
                 path.c_str(), log.switches.size(), log.locks.size(),
                 log.outcome.c_str());
-    return 0;
+    return true;
+}
+
+/**
+ * The resolved "[APP] [TOKEN]" operands of --repro, --diagnose and
+ * --fix: the kernel's two builds, its campaign target, and the parsed
+ * schedule.
+ */
+struct Cell
+{
+    CampaignApp app;
+    Target target;
+    std::string token; ///< "" = none (--fix probes the scripted schedule)
+    ScheduleSpec spec;
+};
+
+/**
+ * Resolves the operands after @p flag.  Each is classified exactly
+ * once: a string the *strict* parseScheduleToken accepts is the
+ * schedule token; otherwise it must name a registered kernel (default
+ * ZSNES, the paper's running example).  Anything else — or a second
+ * kernel or token, or a missing token when @p needToken — is a
+ * one-line @p err; no positional guessing.
+ */
+bool
+resolveCell(const std::vector<std::string> &ops, const std::string &flag,
+            bool needToken, Cell &out, std::string &err)
+{
+    std::string app;
+    for (const std::string &op : ops) {
+        std::string tokErr;
+        bool isToken = parseScheduleToken(op, out.spec, tokErr);
+        if (!isToken && !findApp(op)) {
+            err = flag + ": '" + op + "' is neither a schedule token (" +
+                  tokErr + ") nor a known kernel";
+            return false;
+        }
+        std::string &slot = isToken ? out.token : app;
+        if (!slot.empty()) {
+            err = flag + ": two " +
+                  (isToken ? "schedule tokens" : "kernels") + " ('" +
+                  slot + "' and '" + op + "')";
+            return false;
+        }
+        slot = op;
+    }
+    if (needToken && out.token.empty()) {
+        err = flag + " needs a schedule token";
+        return false;
+    }
+    out.app = prepareCampaignApp(*findApp(app.empty() ? "ZSNES" : app));
+    out.target = campaignTarget(out.app);
+    return true;
 }
 
 int
-runRepro(const std::string &appName, const std::string &token,
-         const std::string &tracePath, const std::string &metricsPath,
-         bool timeline, bool diagnose, const std::string &diagJsonPath,
-         const std::string &recordReplayPath, bool minimize,
-         bool profile, const std::string &profilePath)
+runRepro(const Args &a, const Cell &c)
 {
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
-        return 2;
-    }
-    ScheduleSpec s;
-    std::string tokErr;
-    if (!parseScheduleToken(token, s, tokErr)) {
-        std::fprintf(stderr, "%s\n", tokErr.c_str());
-        return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
+    const Target &target = c.target;
+    const ScheduleSpec &s = c.spec;
+    const std::string &appName = target.name, &token = c.token;
+    const bool profile = a.has("--profile");
     CampaignOptions opts;
     opts.collectProfile = profile;
     ScheduleOutcome o = runOneSchedule(target, s, opts);
@@ -565,23 +640,23 @@ runRepro(const std::string &appName, const std::string &token,
         if (!o.hasProfile)
             std::printf("(hardened leg did not run — no "
                         "deterministic phase profile)\n");
-        if (!profilePath.empty())
+        if (a.has("--profile") && !a.str("--profile").empty())
             profileOk = writeProfileArtifacts(
-                doc, appName + " " + token, profilePath);
+                doc, appName + " " + token, a.str("--profile"));
     }
 
     bool traceOk = true;
-    if (!tracePath.empty() || !metricsPath.empty() || timeline)
-        traceOk = traceSchedule(target, s, opts, appName, tracePath,
-                                metricsPath, timeline);
+    if (a.has("--trace") || a.has("--metrics") || a.has("--timeline"))
+        traceOk = traceSchedule(target, s, opts, a);
     bool diagOk = true;
-    if (diagnose)
-        diagOk = diagnoseSchedule(target, s, opts, appName,
-                                  diagJsonPath);
+    if (a.has("--diagnose"))
+        diagOk = diagnoseSchedule(target, s, opts,
+                                  a.str("--diagnose-json"));
     bool recordOk = true;
-    if (!recordReplayPath.empty())
-        recordOk = recordReplayLog(target, s, opts, appName,
-                                   recordReplayPath, minimize) == 0;
+    if (a.has("--record-replay"))
+        recordOk = recordReplayLog(target, s, opts,
+                                   a.str("--record-replay"),
+                                   a.has("--minimize"));
     return o.diverged || !traceOk || !diagOk || !recordOk || !profileOk
                ? 1
                : 0;
@@ -594,10 +669,11 @@ runRepro(const std::string &appName, const std::string &token,
  * fingerprint-identical to the recording.
  */
 int
-runReplay(const std::string &path, const std::string &engineArg,
-          bool timeline, bool diagnose, const std::string &tracePath,
-          bool profile, const std::string &profilePath)
+runReplay(const Args &a)
 {
+    const std::string path = a.str("--replay");
+    const bool diagnose = a.has("--diagnose");
+    const bool profile = a.has("--profile");
     obs::replay::ReplayLog log;
     std::string err;
     if (!obs::replay::loadReplayLog(path, log, err)) {
@@ -611,11 +687,10 @@ runReplay(const std::string &path, const std::string &engineArg,
         return 2;
     }
     vm::ExecEngine engine = log.engine;
-    if (!engineArg.empty() &&
-        !obs::replay::engineFromName(engineArg, engine)) {
-        std::fprintf(stderr, "unknown engine '%s' "
-                             "(reference|fused)\n",
-                     engineArg.c_str());
+    if (a.has("--engine") &&
+        !obs::replay::engineFromName(a.str("--engine"), engine)) {
+        std::fprintf(stderr, "unknown engine '%s' (reference|fused)\n",
+                     a.str("--engine").c_str());
         return 2;
     }
     CampaignApp app = prepareCampaignApp(*spec);
@@ -677,15 +752,16 @@ runReplay(const std::string &path, const std::string &engineArg,
                                            : log.scheduleToken),
             agg);
         std::printf("%s", obs::prof::hotPhaseTable(doc).c_str());
-        if (!profilePath.empty() &&
+        if (!a.str("--profile").empty() &&
             !writeProfileArtifacts(doc, log.program + " replay",
-                                   profilePath))
+                                   a.str("--profile")))
             return 1;
     }
-    if (timeline)
+    if (a.has("--timeline"))
         std::printf("--- replay timeline (time travel) ---\n%s",
                     obs::replay::replayTimeline(log).c_str());
-    if (!tracePath.empty()) {
+    if (a.has("--trace")) {
+        const std::string tracePath = a.str("--trace");
         std::vector<obs::TraceProcess> procs = {
             {&rec, log.program + " replay " + log.scheduleToken, 1},
         };
@@ -697,189 +773,51 @@ runReplay(const std::string &path, const std::string &engineArg,
 }
 
 /**
- * Shared strict operand scanner for the modes that take "[APP] [TOKEN]"
- * after a flag (--diagnose, --fix).  Every non-flag operand after the
- * flag is classified exactly once: a string the *strict*
- * parseScheduleToken accepts is the schedule token; otherwise it must
- * name a registered kernel.  Anything else is a one-line error naming
- * both failed interpretations — no positional guessing.
- */
-struct AppTokenArgs
-{
-    bool ok = false;
-    std::string app;   ///< kernel name (default already applied)
-    std::string token; ///< strict schedule token ("" when absent)
-    std::string error; ///< one-line parse error when !ok
-};
-
-AppTokenArgs
-parseAppTokenOperands(int argc, char **argv, const char *flag,
-                      const char *defaultApp)
-{
-    AppTokenArgs out;
-    out.app = defaultApp;
-    out.ok = true;
-    int at = -1;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            at = i;
-    if (at < 0)
-        return out;
-    bool appSet = false;
-    for (int i = at + 1; i < argc && argv[i][0] != '-'; ++i) {
-        ScheduleSpec s;
-        std::string tokErr;
-        if (parseScheduleToken(argv[i], s, tokErr)) {
-            if (!out.token.empty()) {
-                out.ok = false;
-                out.error = std::string(flag) +
-                            ": two schedule tokens ('" + out.token +
-                            "' and '" + argv[i] + "')";
-                return out;
-            }
-            out.token = argv[i];
-        } else if (findApp(argv[i])) {
-            if (appSet) {
-                out.ok = false;
-                out.error = std::string(flag) + ": two kernels ('" +
-                            out.app + "' and '" + argv[i] + "')";
-                return out;
-            }
-            out.app = argv[i];
-            appSet = true;
-        } else {
-            out.ok = false;
-            out.error = std::string(flag) + ": '" + argv[i] +
-                        "' is neither a schedule token (" + tokErr +
-                        ") nor a known kernel";
-            return out;
-        }
-    }
-    return out;
-}
-
-/** --diagnose [APP] TOKEN standalone mode (APP defaults to ZSNES). */
-int
-runDiagnose(const std::string &appName, const std::string &token,
-            const std::string &jsonPath)
-{
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
-        return 2;
-    }
-    ScheduleSpec s;
-    std::string tokErr;
-    if (!parseScheduleToken(token, s, tokErr)) {
-        std::fprintf(stderr, "%s\n", tokErr.c_str());
-        return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
-    return diagnoseSchedule(target, s, CampaignOptions{}, appName,
-                            jsonPath)
-               ? 0
-               : 1;
-}
-
-/**
  * --fix [APP] [TOKEN]: the whole closed loop for one kernel —
  * diagnose a failing run, synthesize a fix from the diagnosis,
  * ddmin-minimise the failing schedule, and validate the patch
  * (minimized replay + campaign matrix + clean-run overhead).
  */
 int
-runFix(const std::string &appName, const std::string &token,
-       const std::string &jsonPath, unsigned seeds, unsigned workers)
+runFix(const Args &a, const Cell &c)
 {
-    const AppSpec *spec = findApp(appName);
-    if (!spec) {
-        std::fprintf(stderr, "unknown app '%s'\n", appName.c_str());
-        return 2;
-    }
-    CampaignApp app = prepareCampaignApp(*spec);
-    Target target = campaignTarget(app);
-    CampaignOptions opts;
+    const Target &target = c.target;
+    const AppSpec *spec = c.app.spec;
+    const std::string &appName = target.name, &token = c.token;
+    const std::string jsonPath = a.str("--fix-json");
+    const unsigned seeds = a.num("--seeds", 40);
 
-    // Step 1: record one failing run of the unhardened build in
-    // diagnosis + replay grade (Grow ring, shared accesses on).
-    auto rec = std::make_unique<obs::FlightRecorder>(
-        4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg;
-    vm::RunResult fail;
-    std::string schedToken;
-    bool gotFailure = false;
-    if (!token.empty()) {
-        ScheduleSpec s;
-        std::string tokErr;
-        if (!parseScheduleToken(token, s, tokErr)) {
-            std::fprintf(stderr, "%s\n", tokErr.c_str());
-            return 2;
-        }
-        cfg = campaignBaseConfig(target, s, opts);
-        cfg.recorder = rec.get();
-        cfg.recordSharedAccesses = true;
-        fail = vm::runProgram(*target.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-        schedToken = token;
-        gotFailure = !runIsCorrect(*spec, fail);
-        if (!gotFailure) {
-            std::fprintf(stderr,
-                         "%s %s: schedule does not fail (%s) — "
-                         "nothing to fix\n",
-                         appName.c_str(), token.c_str(),
-                         vm::outcomeName(fail.outcome));
-            return 1;
-        }
-    } else {
-        // No token: probe the kernel's scripted failure-forcing
-        // schedule (the hand-tuned delay rules) over a few seeds.
-        for (uint64_t seed = 1; seed <= 8 && !gotFailure; ++seed) {
-            rec = std::make_unique<obs::FlightRecorder>(
-                4096, obs::RecorderMode::Grow);
-            cfg = spec->buggyConfig;
-            cfg.seed = seed;
-            cfg.recorder = rec.get();
-            cfg.recordSharedAccesses = true;
-            fail = vm::runProgram(*target.plain, cfg);
-            cfg.recorder = nullptr;
-            cfg.recordSharedAccesses = false;
-            gotFailure = !runIsCorrect(*spec, fail);
-        }
-        if (!gotFailure) {
+    // Step 1: one failing run of the unhardened build, recorded once
+    // (explore/evidence.h) — a campaign cell with TOKEN, else the
+    // kernel's scripted failure-forcing schedule over seeds 1..8.
+    FailureEvidence ev =
+        token.empty()
+            ? captureScriptedFailure(*spec, target)
+            : captureFailure(target,
+                             cellConfig(target, c.spec, CampaignOptions{}),
+                             token);
+    if (!ev.failed) {
+        if (token.empty())
             std::fprintf(stderr,
                          "%s: scripted buggy schedule never failed "
                          "over seeds 1..8 — nothing to fix\n",
                          appName.c_str());
-            return 1;
-        }
+        else
+            std::fprintf(stderr,
+                         "%s %s: schedule does not fail (%s) — "
+                         "nothing to fix\n",
+                         appName.c_str(), token.c_str(),
+                         vm::outcomeName(ev.run.outcome));
+        return 1;
     }
     std::printf("recorded failing run: %s%s%s (%llu steps)\n",
-                vm::outcomeName(fail.outcome),
-                fail.failureTag.empty() ? "" : " @ ",
-                fail.failureTag.c_str(),
-                (unsigned long long)fail.stats.steps);
+                vm::outcomeName(ev.run.outcome),
+                ev.run.failureTag.empty() ? "" : " @ ",
+                ev.run.failureTag.c_str(),
+                (unsigned long long)ev.run.stats.steps);
 
-    // Step 2: postmortem diagnosis.  Prefer the hardened leg under
-    // the same schedule: recovery retries until the enabling write
-    // lands, so the racing partner is *in* the trace — the unhardened
-    // leg dies at the failure site before the partner ever runs (the
-    // diagnoseSchedule() leg-selection rule).
-    obs::FlightRecorder hardRec(4096, obs::RecorderMode::Grow);
-    {
-        vm::VmConfig hcfg = cfg;
-        hcfg.recorder = &hardRec;
-        hcfg.recordSharedAccesses = true;
-        vm::runProgram(*target.hardened, hcfg);
-    }
-    bool useHard =
-        hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-        hardRec.totalOf(obs::EventKind::FailureSite) > 0;
-    obs::pm::RecoveryReport rep = obs::pm::diagnose(
-        useHard ? hardRec : *rec,
-        useHard ? *target.hardened : *target.plain, appName,
-        schedToken);
+    // Step 2: the postmortem diagnosis of the leg the leg rule picked.
+    const obs::pm::RecoveryReport &rep = ev.diagnosis.report;
     if (rep.episodes.empty()) {
         std::fprintf(stderr, "%s: diagnosis produced no episodes\n",
                      appName.c_str());
@@ -889,24 +827,22 @@ runFix(const std::string &appName, const std::string &token,
                 obs::pm::verdictName(rep.primary()->verdict),
                 rep.primary()->variable.c_str());
 
-    // Step 3: replay log of the failing run, ddmin-minimised — the
+    // Step 3: the failing run's replay log, ddmin-minimised — the
     // "exact buggy interleaving" obligation of the validator.
-    obs::replay::ReplayLog log;
     const obs::replay::ReplayLog *logp = nullptr;
-    std::string err;
-    if (obs::replay::buildReplayLog(appName, schedToken, cfg, *rec,
-                                    fail, log, err)) {
+    if (ev.hasLog) {
         obs::replay::MinimizeResult mres =
-            obs::replay::minimizeReplayLog(*target.plain, log, {});
+            obs::replay::minimizeReplayLog(*target.plain, ev.log);
         if (mres.ok) {
             std::printf("minimised failing schedule: %zu -> %zu "
                         "switches\n",
                         mres.originalSwitches, mres.minimizedSwitches);
-            log = mres.minimized;
+            ev.log = mres.minimized;
         }
-        logp = &log;
+        logp = &ev.log;
     } else {
-        std::fprintf(stderr, "replay log skipped: %s\n", err.c_str());
+        std::fprintf(stderr, "replay log skipped: %s\n",
+                     ev.logError.c_str());
     }
 
     // Step 4: synthesize, then prove the patch regression-free.
@@ -920,7 +856,7 @@ runFix(const std::string &appName, const std::string &token,
     }
     fix::ValidationOptions vopts;
     vopts.campaign.seedsPerPolicy = seeds;
-    vopts.campaign.workers = workers;
+    vopts.campaign.workers = a.num("--workers", 4);
     vopts.cleanConfig = spec->cleanConfig;
     std::printf("validating: %s replay + %zu-policy x %u-seed "
                 "campaign + overhead bound...\n",
@@ -935,6 +871,166 @@ runFix(const std::string &appName, const std::string &token,
         std::printf("wrote %s\n", jsonPath.c_str());
     }
     return val.ok() ? 0 : 1;
+}
+
+/**
+ * What the post-campaign passes produced for one kernel: the
+ * diagnosis, replay-corpus entry and fix of its first failure, and
+ * the artifacts flushed when its oracle tripped.
+ */
+struct KernelEvidence
+{
+    /** The first failure was captured: diagnosis and plan are set. */
+    bool captured = false;
+    LegDiagnosis diagnosis;
+
+    bool hasReplayLog = false;
+    std::string replayLogPath;            ///< DIR/<kernel>.replay
+    uint64_t replaySwitches = 0;          ///< before minimisation
+    uint64_t replayMinimizedSwitches = 0; ///< after minimisation
+    /** The minimised log also replayed faithfully under Reference. */
+    bool replayCrossEngineVerified = false;
+    std::string replayError;
+
+    std::vector<std::string> abortArtifacts;
+
+    fix::FixPlan plan;
+    fix::ValidationResult validation; ///< only when plan.ok
+};
+
+/**
+ * The post-campaign passes for one kernel, run outside the worker
+ * pool so the campaign aggregates stay worker-independent.  The first
+ * failure is captured once (explore/evidence.h); its diagnosis, its
+ * replay-corpus entry (ddmin-minimised with the verdict preserved,
+ * verified under Reference too, saved as DIR/<kernel>.replay) and its
+ * synthesized, validated fix all come from that one recording.  A
+ * tripped oracle (divergence or unrecovered failure) re-runs that
+ * exact cell, chaos included, and flushes its trace and diagnosis
+ * into @p abortDir.
+ */
+KernelEvidence
+kernelEvidence(const Target &t, const TargetReport &tr,
+               const CampaignOptions &opts, const std::string &replayDir,
+               const std::string &abortDir,
+               const fix::ValidationOptions &vopts)
+{
+    KernelEvidence ke;
+    if (tr.foundFailure) {
+        FailureEvidence ev = captureFailure(
+            t, cellConfig(t, tr.firstFailure, opts),
+            tr.firstFailure.token());
+        ke.captured = true;
+        ke.diagnosis = ev.diagnosis;
+
+        const obs::replay::ReplayLog *logp = nullptr;
+        if (!ev.hasLog) {
+            ke.replayError = ev.logError;
+        } else {
+            obs::replay::MinimizeOptions mo;
+            mo.preserveVerdict = true;
+            obs::replay::MinimizeResult res =
+                obs::replay::minimizeReplayLog(*t.plain, ev.log, mo);
+            ke.replaySwitches = ev.log.switches.size();
+            // A failure that only reproduces under the exact recorded
+            // schedule still gets its (unminimised) verified log.
+            if (res.ok)
+                ev.log = std::move(res.minimized);
+            else
+                ke.replayError = res.err;
+            ke.replayMinimizedSwitches = ev.log.switches.size();
+            ke.replayCrossEngineVerified =
+                obs::replay::replayLog(*t.plain, ev.log,
+                                       vm::ExecEngine::Reference)
+                    .faithful;
+            std::filesystem::create_directories(replayDir);
+            std::string path = replayDir + "/" + t.name + ".replay";
+            std::string err;
+            if (obs::replay::saveReplayLog(path, ev.log, err)) {
+                ke.hasReplayLog = true;
+                ke.replayLogPath = path;
+                logp = &ev.log;
+            } else {
+                ke.replayError = err;
+            }
+        }
+
+        ke.plan = fix::synthesizeFix(*t.plain, ke.diagnosis.report);
+        if (ke.plan.ok)
+            ke.validation =
+                fix::validatePatch(*ke.plan.patched, t, logp, vopts);
+        std::printf("%s",
+                    fix::renderPatchText(ke.plan, ke.plan.ok
+                                                      ? &ke.validation
+                                                      : nullptr)
+                        .c_str());
+    }
+
+    if (!abortDir.empty() && (tr.hasDivergence || tr.hasUnrecovered)) {
+        const ScheduleSpec &spec =
+            tr.hasDivergence ? tr.firstDivergence : tr.firstUnrecovered;
+        // Diagnosis-mode rings need depth: shared accesses are roughly
+        // one event per scheduling tick.
+        obs::FlightRecorder plainRec(65536), hardRec(65536);
+        ScheduleInstruments ins{&plainRec, &hardRec, true};
+        runOneSchedule(t, spec, opts, &ins);
+
+        std::filesystem::create_directories(abortDir);
+        std::string token = spec.token();
+        std::replace(token.begin(), token.end(), ':', '-');
+        std::string stem = abortDir + "/" + t.name + "_" + token;
+        std::vector<obs::TraceProcess> procs;
+        procs.push_back({&plainRec, t.name + " unhardened", 1});
+        if (t.hardened)
+            procs.push_back({&hardRec, t.name + " hardened", 2});
+        obs::pm::RecoveryReport diag =
+            diagnoseLegs(t, plainRec, hardRec, spec.token()).report;
+        for (const auto &[suffix, body] :
+             {std::pair<std::string, std::string>{
+                  "_trace.json", obs::chromeTraceJson(procs)},
+              {"_diagnosis.json", obs::pm::toJson(diag)},
+              {"_diagnosis.txt", obs::pm::renderText(diag)}}) {
+            std::ofstream(stem + suffix, std::ios::binary) << body;
+            ke.abortArtifacts.push_back(stem + suffix);
+        }
+    }
+    return ke;
+}
+
+/** The kernels[] fields of one kernel's KernelEvidence. */
+void
+writeEvidenceJson(JsonWriter &w, const KernelEvidence &ke)
+{
+    if (ke.captured) {
+        w.key("diagnosis_leg").value(ke.diagnosis.leg());
+        w.key("diagnosis");
+        obs::pm::writeJson(w, ke.diagnosis.report);
+    }
+    if (!ke.abortArtifacts.empty()) {
+        w.key("abort_artifacts").beginArray();
+        for (const std::string &p : ke.abortArtifacts)
+            w.value(p);
+        w.endArray();
+    }
+    if (ke.hasReplayLog || !ke.replayError.empty()) {
+        w.key("replay_log").beginObject();
+        if (ke.hasReplayLog) {
+            w.key("path").value(ke.replayLogPath);
+            w.key("switches").value(ke.replaySwitches);
+            w.key("minimized_switches").value(ke.replayMinimizedSwitches);
+            w.key("cross_engine_verified")
+                .value(ke.replayCrossEngineVerified);
+        }
+        if (!ke.replayError.empty())
+            w.key("error").value(ke.replayError);
+        w.endObject();
+    }
+    // The same patch document --fix-json writes.
+    if (ke.captured) {
+        w.key("fix");
+        fix::writePatchJson(w, ke.plan,
+                            ke.plan.ok ? &ke.validation : nullptr);
+    }
 }
 
 void
@@ -953,106 +1049,55 @@ writeMetricsJson(JsonWriter &w, const TargetReport &tr)
 int
 main(int argc, char **argv)
 {
-    const std::string tracePath = argString(argc, argv, "--trace", "");
-    const std::string metricsPath =
-        argString(argc, argv, "--metrics", "");
-    const bool timeline = hasFlag(argc, argv, "--timeline");
-    const bool diagnose = hasFlag(argc, argv, "--diagnose");
-    const std::string diagJsonPath =
-        argString(argc, argv, "--diagnose-json", "");
-    const auto [profileOn, profilePath] =
-        argOptValue(argc, argv, "--profile");
-
-    if (hasFlag(argc, argv, "--replay")) {
-        const std::string path = argString(argc, argv, "--replay", "");
-        if (path.empty() || path[0] == '-') {
-            std::fprintf(stderr,
-                         "usage: bench_explore --replay LOG "
-                         "[--engine reference|fused] "
-                         "[--timeline] [--diagnose] [--trace F]\n");
-            return 2;
-        }
-        return runReplay(path, argString(argc, argv, "--engine", ""),
-                         timeline, diagnose, tracePath, profileOn,
-                         profilePath);
-    }
-
-    if (hasFlag(argc, argv, "--repro")) {
-        // --repro APP TOKEN: the two operands follow the flag.
-        const char *app = nullptr, *tok = nullptr;
-        for (int i = 1; i < argc; ++i)
-            if (std::strcmp(argv[i], "--repro") == 0 && i + 2 < argc) {
-                app = argv[i + 1];
-                tok = argv[i + 2];
-            }
-        if (!app || !tok) {
-            std::fprintf(stderr,
-                         "usage: bench_explore --repro APP TOKEN "
-                         "[--trace F] [--metrics F] [--timeline] "
-                         "[--diagnose] [--diagnose-json F] "
-                         "[--record-replay F [--minimize]]\n");
-            return 2;
-        }
-        return runRepro(app, tok, tracePath, metricsPath, timeline,
-                        diagnose, diagJsonPath,
-                        argString(argc, argv, "--record-replay", ""),
-                        hasFlag(argc, argv, "--minimize"), profileOn,
-                        profilePath);
-    }
-
-    if (hasFlag(argc, argv, "--fix")) {
-        // --fix [APP] [TOKEN]: strict operand classification shared
-        // with --diagnose; the default kernel is ZSNES.
-        AppTokenArgs fa =
-            parseAppTokenOperands(argc, argv, "--fix", "ZSNES");
-        if (!fa.ok) {
-            std::fprintf(stderr, "%s\n", fa.error.c_str());
-            std::fprintf(stderr, "usage: bench_explore --fix [APP] "
-                                 "[TOKEN] [--fix-json F] [--seeds N] "
-                                 "[--workers N]\n");
-            return 2;
-        }
-        return runFix(fa.app, fa.token,
-                      argString(argc, argv, "--fix-json", ""),
-                      argUnsigned(argc, argv, "--seeds", 40),
-                      argUnsigned(argc, argv, "--workers", 4));
-    }
-
-    if (diagnose) {
-        // --diagnose [APP] TOKEN: strict operand classification (a
-        // lone schedule token runs against ZSNES, the paper's running
-        // example); a token is required.
-        AppTokenArgs da =
-            parseAppTokenOperands(argc, argv, "--diagnose", "ZSNES");
-        if (da.ok && !da.token.empty())
-            return runDiagnose(da.app, da.token, diagJsonPath);
-        if (!da.ok)
-            std::fprintf(stderr, "%s\n", da.error.c_str());
-        std::fprintf(stderr, "usage: bench_explore --diagnose [APP] "
-                             "TOKEN [--diagnose-json F]\n");
+    Args args;
+    if (!args.parse(argc, argv))
         return 2;
+    if (args.has("--replay"))
+        return runReplay(args);
+    // The single-cell modes, in precedence order: --repro APP TOKEN,
+    // --fix [APP] [TOKEN], --diagnose [APP] TOKEN.
+    for (const char *flag : {"--repro", "--fix", "--diagnose"}) {
+        if (!args.has(flag))
+            continue;
+        Cell cell;
+        std::string err;
+        if (!resolveCell(args.operands(flag), flag,
+                         std::strcmp(flag, "--fix") != 0, cell, err)) {
+            std::fprintf(stderr, "bench_explore: %s\n%s", err.c_str(),
+                         kUsage);
+            return 2;
+        }
+        const std::string mode = flag;
+        if (mode == "--repro")
+            return runRepro(args, cell);
+        if (mode == "--fix")
+            return runFix(args, cell);
+        return diagnoseSchedule(cell.target, cell.spec, {},
+                                args.str("--diagnose-json"))
+                   ? 0
+                   : 1;
     }
 
-    const bool smoke = hasFlag(argc, argv, "--smoke");
-    const bool doSpeedup = !hasFlag(argc, argv, "--no-speedup");
+    const bool profileOn = args.has("--profile");
+    const std::string profilePath = args.str("--profile");
+    const bool smoke = args.has("--smoke");
+    const bool doSpeedup = !args.has("--no-speedup");
     // Guided search always runs in full mode (the committed artifact
     // pins guided-vs-blind budgets and the gates below compare them);
     // smoke opts in with --guided.
-    const bool guided = !smoke || hasFlag(argc, argv, "--guided");
+    const bool guided = !smoke || args.has("--guided");
     const uint64_t guidedBudget =
-        argUnsigned(argc, argv, "--guided-budget", smoke ? 250 : 1500);
-    const std::string corpusDir =
-        argString(argc, argv, "--corpus-dir", "");
-    unsigned seeds =
-        argUnsigned(argc, argv, "--seeds", smoke ? 40 : 1250);
-    unsigned workers = argUnsigned(argc, argv, "--workers", 4);
-    const bool serve = hasFlag(argc, argv, "--serve");
-    const unsigned servePort = argUnsigned(argc, argv, "--serve", 0);
-    const std::string servePortFile =
-        argString(argc, argv, "--serve-port-file", "");
+        args.num("--guided-budget", smoke ? 250 : 1500);
+    const std::string corpusDir = args.str("--corpus-dir");
+    unsigned seeds = args.num("--seeds", smoke ? 40 : 1250);
+    unsigned workers = args.num("--workers", 4);
+    const bool serve = args.has("--serve");
+    const unsigned servePort = args.num("--serve", 0);
+    const std::string servePortFile = args.str("--serve-port-file");
+    const std::string replayDir = args.str("--replay-dir", "replay-logs");
+    const std::string abortDir = args.str("--abort-dir");
 
-    std::vector<std::string> names =
-        splitList(argString(argc, argv, "--apps", ""));
+    std::vector<std::string> names = splitList(args.str("--apps"));
     const bool explicitApps = !names.empty();
     if (names.empty())
         for (const AppSpec &a : allApps())
@@ -1095,16 +1140,7 @@ main(int argc, char **argv)
     opts.seedsPerPolicy = seeds;
     opts.workers = workers;
     opts.collectMetrics = true;
-    // Every first-failing schedule in BENCH_explore.json carries a
-    // postmortem diagnosis (racy pair + verdict); the replay happens
-    // after aggregation, outside the worker pool.
-    opts.diagnoseFailures = true;
-    opts.abortArtifactDir = argString(argc, argv, "--abort-dir", "");
-    // Every rediscovered kernel failure leaves a ddmin-minimised,
-    // strictly-verified replay log behind — the O(1) repro corpus.
-    opts.replayLogDir =
-        argString(argc, argv, "--replay-dir", "replay-logs");
-    std::string policyList = argString(argc, argv, "--policies", "");
+    std::string policyList = args.str("--policies");
     if (!policyList.empty()) {
         opts.policies.clear();
         for (const std::string &p : splitList(policyList)) {
@@ -1201,7 +1237,7 @@ main(int argc, char **argv)
     // --trace in campaign mode: replay the first failing schedule the
     // campaign found, flight recorder attached, and emit the trace.
     bool traceOk = true;
-    if (!tracePath.empty()) {
+    if (args.has("--trace")) {
         bool traced = false;
         for (size_t ti = 0; ti < rep.targets.size() && !traced; ++ti) {
             const TargetReport &tr = rep.targets[ti];
@@ -1211,76 +1247,43 @@ main(int argc, char **argv)
                         tr.name.c_str(),
                         tr.firstFailure.token().c_str());
             traceOk = traceSchedule(targets[ti], tr.firstFailure, opts,
-                                    tr.name, tracePath, metricsPath,
-                                    timeline);
+                                    args);
             traced = true;
         }
         if (!traced)
             std::printf("--trace: no failing schedule to trace\n");
     }
 
-    // Fix-synthesis pass: every kernel whose failure the campaign
-    // rediscovered and diagnosed gets a synthesized patch, validated
-    // in place (minimized replay + campaign re-run on the patched
-    // build + overhead bound).  Results land in kernels[].fix.
+    // Failure-evidence pass: every kernel whose failure the campaign
+    // rediscovered is captured once and gets its diagnosis, its
+    // replay-corpus log and a synthesized patch, validated in place
+    // (minimized replay + campaign re-run on the patched build +
+    // overhead bound).  Results land in kernels[].diagnosis,
+    // kernels[].replay_log and kernels[].fix.
     std::printf("\n=== fix synthesis ===\n");
+    fix::ValidationOptions vopts;
+    vopts.campaign = opts;
+    // Smoke mode stops the *search* after one failure; the validation
+    // campaign must not stop early (it expects zero failures), so just
+    // trim its seed budget instead.
+    vopts.campaign.stopAfterFailures = 0;
+    // The validation re-run is a sub-campaign: keep it out of the live
+    // /status counters and skip its coverage folds.
+    vopts.campaign.telemetry = nullptr;
+    vopts.campaign.collectCoverage = false;
+    if (smoke)
+        vopts.campaign.seedsPerPolicy = std::min(opts.seedsPerPolicy, 12u);
+    std::vector<KernelEvidence> evidence;
+    uint64_t corpusSize = 0;
     for (size_t ti = 0; ti < rep.targets.size(); ++ti) {
-        TargetReport &tr = rep.targets[ti];
-        if (!tr.foundFailure || !tr.hasDiagnosis)
-            continue;
-        tr.fix.attempted = true;
-        fix::FixPlan plan =
-            fix::synthesizeFix(*targets[ti].plain, tr.diagnosis);
-        tr.fix.synthesized = plan.ok;
-        tr.fix.strategy = fix::strategyName(plan.strategy);
-        tr.fix.verdict = obs::pm::verdictName(plan.verdict);
-        tr.fix.variable = plan.variable;
-        tr.fix.mutexName = plan.mutexName;
-        tr.fix.usedExistingMutex = plan.usedExistingMutex;
-        tr.fix.edits = plan.edits.size();
-        tr.fix.error = plan.error;
-        if (!plan.ok) {
-            std::printf("%s", fix::renderPatchText(plan).c_str());
-            continue;
-        }
-        obs::replay::ReplayLog log;
-        const obs::replay::ReplayLog *logp = nullptr;
-        std::string lerr;
-        if (tr.hasReplayLog &&
-            obs::replay::loadReplayLog(tr.replayLogPath, log, lerr))
-            logp = &log;
-        fix::ValidationOptions vopts;
-        vopts.campaign = opts;
-        // Smoke mode stops the *search* after one failure; the
-        // validation campaign must not stop early (it expects zero
-        // failures), so just trim its seed budget instead.
-        vopts.campaign.stopAfterFailures = 0;
-        // The validation re-run is a sub-campaign: keep it out of the
-        // live /status counters and skip its coverage folds.
-        vopts.campaign.telemetry = nullptr;
-        vopts.campaign.collectCoverage = false;
-        if (smoke)
-            vopts.campaign.seedsPerPolicy =
-                std::min(opts.seedsPerPolicy, 12u);
         vopts.cleanConfig = prepared[ti].spec->cleanConfig;
-        fix::ValidationResult val =
-            fix::validatePatch(*plan.patched, targets[ti], logp,
-                               vopts);
-        tr.fix.replayChecked = val.replayChecked;
-        tr.fix.replayFailureGone = val.replayFailureGone;
-        tr.fix.campaignRan = val.campaignRan;
-        tr.fix.patchedSchedules = val.schedules;
-        tr.fix.patchedFailing = val.failing;
-        tr.fix.patchedDeadlocks = val.deadlocks;
-        tr.fix.patchedDivergences = val.divergences;
-        tr.fix.patchedInconclusive = val.inconclusive;
-        tr.fix.overhead = val.overhead;
-        tr.fix.overheadOk = val.overheadOk;
-        tr.fix.validated = val.ok();
-        if (!val.ok() && tr.fix.error.empty())
-            tr.fix.error = val.error;
-        std::printf("%s", fix::renderPatchText(plan, &val).c_str());
+        evidence.push_back(kernelEvidence(targets[ti], rep.targets[ti],
+                                          opts, replayDir, abortDir,
+                                          vopts));
+        corpusSize += evidence.back().hasReplayLog;
     }
+    if (opts.telemetry)
+        opts.telemetry->noteCorpusSize(corpusSize);
 
     // Challenge kernels: the explorer's hard mode.  Each one gets a
     // dedicated blind pct:d2 probe — the single-change-point schedule
@@ -1309,10 +1312,8 @@ main(int argc, char **argv)
         copts.seedsPerPolicy = probeSeeds;
         copts.guidedBudget = challengeBudget;
         // A probe hit fails the gate anyway — no point finishing the
-        // probe, diagnosing the fluke, or minimising a replay for it.
+        // probe (the evidence pass above never sees these kernels).
         copts.stopAfterFailures = 1;
-        copts.diagnoseFailures = false;
-        copts.replayLogDir.clear();
         // No failure means no recovery episodes: the recovery-tax
         // gate has nothing to measure here, so don't collect.
         copts.collectProfile = false;
@@ -1349,6 +1350,19 @@ main(int argc, char **argv)
         }
     }
 
+    // The fixed timing sub-campaign of the speedup and serve-guard
+    // measurements: the first two kernels under pct:d3, no early stop,
+    // no live telemetry, no coverage folds.
+    CampaignOptions timingOpts = opts;
+    timingOpts.seedsPerPolicy = smoke ? 6 : 25;
+    timingOpts.policies = {{vm::SchedPolicy::Pct, 3}};
+    timingOpts.stopAfterFailures = 0;
+    timingOpts.telemetry = nullptr;
+    timingOpts.collectCoverage = false;
+    const std::vector<Target> timingTargets(
+        targets.begin(),
+        targets.begin() + std::min<size_t>(targets.size(), 2));
+
     // Parallel speedup: a fixed sub-campaign, 1 worker vs N.  The
     // measurement is honest about the host: with fewer hardware
     // threads than workers (CI containers are often single-core) the
@@ -1357,20 +1371,11 @@ main(int argc, char **argv)
     unsigned hw = std::thread::hardware_concurrency();
     double speedup = 0, base_sps = 0, par_sps = 0;
     if (doSpeedup) {
-        CampaignOptions sopts = opts;
-        sopts.seedsPerPolicy = smoke ? 6 : 25;
-        sopts.policies = {{vm::SchedPolicy::Pct, 3}};
-        sopts.stopAfterFailures = 0;
-        // A timing measurement: no live telemetry, no coverage folds.
-        sopts.telemetry = nullptr;
-        sopts.collectCoverage = false;
-        std::vector<Target> sub(targets.begin(),
-                                targets.begin() +
-                                    std::min<size_t>(targets.size(), 2));
+        CampaignOptions sopts = timingOpts;
         sopts.workers = 1;
-        CampaignReport r1 = runCampaign(sub, sopts);
+        CampaignReport r1 = runCampaign(timingTargets, sopts);
         sopts.workers = workers;
-        CampaignReport rn = runCampaign(sub, sopts);
+        CampaignReport rn = runCampaign(timingTargets, sopts);
         base_sps = r1.schedulesPerSec;
         par_sps = rn.schedulesPerSec;
         if (base_sps > 0)
@@ -1390,16 +1395,7 @@ main(int argc, char **argv)
     double guard_bare_sps = 0, guard_load_sps = 0, guard_ratio = 0;
     uint64_t guard_scrapes = 0;
     if (serve) {
-        CampaignOptions gopts = opts;
-        gopts.seedsPerPolicy = smoke ? 6 : 25;
-        gopts.policies = {{vm::SchedPolicy::Pct, 3}};
-        gopts.stopAfterFailures = 0;
-        gopts.telemetry = nullptr;
-        gopts.collectCoverage = false;
-        std::vector<Target> sub(targets.begin(),
-                                targets.begin() +
-                                    std::min<size_t>(targets.size(), 2));
-        CampaignReport bare = runCampaign(sub, gopts);
+        CampaignReport bare = runCampaign(timingTargets, timingOpts);
 
         std::atomic<bool> stopScrape{false};
         std::atomic<uint64_t> scrapes{0};
@@ -1419,7 +1415,7 @@ main(int argc, char **argv)
                         std::chrono::milliseconds(1));
                 }
             });
-        CampaignReport loaded = runCampaign(sub, gopts);
+        CampaignReport loaded = runCampaign(timingTargets, timingOpts);
         stopScrape.store(true);
         for (auto &th : scrapers)
             th.join();
@@ -1497,7 +1493,8 @@ main(int argc, char **argv)
         profTotal.writeJson(w);
     }
     w.key("kernels").beginArray();
-    for (const TargetReport &tr : rep.targets) {
+    for (size_t ti = 0; ti < rep.targets.size(); ++ti) {
+        const TargetReport &tr = rep.targets[ti];
         w.beginObject();
         w.key("name").value(tr.name);
         w.key("schedules").value(tr.schedules);
@@ -1614,59 +1611,8 @@ main(int argc, char **argv)
             w.endObject();
         }
         writeMetricsJson(w, tr);
-        if (tr.hasDiagnosis) {
-            w.key("diagnosis_leg").value(tr.diagnosisLeg);
-            w.key("diagnosis");
-            obs::pm::writeJson(w, tr.diagnosis);
-        }
-        if (!tr.abortArtifacts.empty()) {
-            w.key("abort_artifacts").beginArray();
-            for (const std::string &p : tr.abortArtifacts)
-                w.value(p);
-            w.endArray();
-        }
-        if (tr.hasReplayLog || !tr.replayError.empty()) {
-            w.key("replay_log").beginObject();
-            if (tr.hasReplayLog) {
-                w.key("path").value(tr.replayLogPath);
-                w.key("switches").value(tr.replayOriginalSwitches);
-                w.key("minimized_switches")
-                    .value(tr.replayMinimizedSwitches);
-                w.key("cross_engine_verified")
-                    .value(tr.replayCrossEngineVerified);
-            }
-            if (!tr.replayError.empty())
-                w.key("error").value(tr.replayError);
-            w.endObject();
-        }
-        if (tr.fix.attempted) {
-            w.key("fix").beginObject();
-            w.key("synthesized").value(tr.fix.synthesized);
-            w.key("strategy").value(tr.fix.strategy);
-            w.key("verdict").value(tr.fix.verdict);
-            w.key("variable").value(tr.fix.variable);
-            w.key("mutex").value(tr.fix.mutexName);
-            w.key("used_existing_mutex")
-                .value(tr.fix.usedExistingMutex);
-            w.key("edits").value(tr.fix.edits);
-            w.key("replay_checked").value(tr.fix.replayChecked);
-            w.key("replay_failure_gone")
-                .value(tr.fix.replayFailureGone);
-            w.key("campaign_ran").value(tr.fix.campaignRan);
-            w.key("patched_schedules").value(tr.fix.patchedSchedules);
-            w.key("patched_failing").value(tr.fix.patchedFailing);
-            w.key("patched_deadlocks").value(tr.fix.patchedDeadlocks);
-            w.key("patched_divergences")
-                .value(tr.fix.patchedDivergences);
-            w.key("patched_inconclusive")
-                .value(tr.fix.patchedInconclusive);
-            w.key("overhead").value(tr.fix.overhead, "%.4f");
-            w.key("overhead_ok").value(tr.fix.overheadOk);
-            w.key("validated").value(tr.fix.validated);
-            if (!tr.fix.error.empty())
-                w.key("error").value(tr.fix.error);
-            w.endObject();
-        }
+        if (ti < evidence.size())
+            writeEvidenceJson(w, evidence[ti]);
         w.endObject();
     }
     w.endArray();
@@ -1699,22 +1645,22 @@ main(int argc, char **argv)
                              "artifacts\n");
         rc = 1;
     }
-    if (!opts.replayLogDir.empty()) {
-        for (const TargetReport &tr : rep.targets) {
-            if (tr.foundFailure && !tr.hasReplayLog) {
-                std::fprintf(stderr,
-                             "FAIL: %s: no replay log for first "
-                             "failure (%s)\n",
-                             tr.name.c_str(), tr.replayError.c_str());
-                rc = 1;
-            }
-            if (tr.hasReplayLog && !tr.replayCrossEngineVerified) {
-                std::fprintf(stderr,
-                             "FAIL: %s: replay log did not verify "
-                             "under the Reference engine\n",
-                             tr.name.c_str());
-                rc = 1;
-            }
+    for (size_t ti = 0; ti < evidence.size(); ++ti) {
+        const TargetReport &tr = rep.targets[ti];
+        const KernelEvidence &ke = evidence[ti];
+        if (tr.foundFailure && !ke.hasReplayLog) {
+            std::fprintf(stderr,
+                         "FAIL: %s: no replay log for first failure "
+                         "(%s)\n",
+                         tr.name.c_str(), ke.replayError.c_str());
+            rc = 1;
+        }
+        if (ke.hasReplayLog && !ke.replayCrossEngineVerified) {
+            std::fprintf(stderr,
+                         "FAIL: %s: replay log did not verify under the "
+                         "Reference engine\n",
+                         tr.name.c_str());
+            rc = 1;
         }
     }
     // Corpus persistence is an artifact obligation like the profile
@@ -1773,13 +1719,17 @@ main(int argc, char **argv)
             }
         // Close-the-loop gate: every rediscovered failure must end in
         // a synthesized, fully validated patch.
-        for (const TargetReport &tr : rep.targets)
-            if (tr.fix.attempted && !tr.fix.validated) {
-                std::fprintf(stderr,
-                             "FAIL: %s: fix not validated (%s)\n",
-                             tr.name.c_str(), tr.fix.error.c_str());
+        for (size_t ti = 0; ti < evidence.size(); ++ti) {
+            const KernelEvidence &ke = evidence[ti];
+            if (ke.captured && !(ke.plan.ok && ke.validation.ok())) {
+                std::fprintf(stderr, "FAIL: %s: fix not validated (%s)\n",
+                             rep.targets[ti].name.c_str(),
+                             (ke.plan.ok ? ke.validation.error
+                                         : ke.plan.error)
+                                 .c_str());
                 rc = 1;
             }
+        }
         if (guided) {
             // Guided efficiency gate over the Table 2 kernels: every
             // failure rediscovered, and the mean seeds-to-first-

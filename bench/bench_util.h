@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/harness.h"
+#include "obs/profile/profile_export.h"
 
 namespace conair::bench {
 
@@ -74,6 +75,23 @@ class Table
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;
 };
+
+/** --profile FILE: the speedscope JSON at @p path plus the folded
+ *  stacks next to it (obs::prof::writeProfileFiles), reported on
+ *  stdout; false (with the error on stderr) when a write fails. */
+inline bool
+writeProfileArtifacts(const obs::prof::ProfileDoc &doc,
+                      const std::string &name, const std::string &path)
+{
+    std::string err;
+    if (!obs::prof::writeProfileFiles(doc, name, path, err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
+        return false;
+    }
+    std::printf("wrote %s (speedscope JSON)\nwrote %s (folded stacks)\n",
+                path.c_str(), obs::prof::foldedPath(path).c_str());
+    return true;
+}
 
 inline std::string
 fmt(const char *f, ...)

@@ -326,34 +326,9 @@ main(int argc, char **argv)
     if (profileOn) {
         std::printf("\n%s",
                     obs::prof::hotPhaseTable(profDoc).c_str());
-        if (!profilePath.empty()) {
-            std::ofstream pf(profilePath);
-            if (!pf) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             profilePath.c_str());
-                return 1;
-            }
-            pf << obs::prof::speedscopeJson(profDoc, "vm_throughput")
-               << "\n";
-            pf.close();
-            std::printf("wrote %s (speedscope JSON)\n",
-                        profilePath.c_str());
-            std::string folded = profilePath;
-            size_t dot = folded.rfind('.');
-            if (dot != std::string::npos &&
-                folded.find('/', dot) == std::string::npos)
-                folded.resize(dot);
-            folded += ".folded";
-            std::ofstream ff(folded);
-            if (!ff) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             folded.c_str());
-                return 1;
-            }
-            ff << obs::prof::foldedStacks(profDoc);
-            ff.close();
-            std::printf("wrote %s (folded stacks)\n", folded.c_str());
-        }
+        if (!profilePath.empty() &&
+            !writeProfileArtifacts(profDoc, "vm_throughput", profilePath))
+            return 1;
     }
 
     JsonWriter w(2);

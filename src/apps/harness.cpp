@@ -159,6 +159,18 @@ runUnderSchedule(const PreparedApp &p, vm::VmConfig cfg)
     return vm::runProgram(*p.module, cfg);
 }
 
+explore::FailureEvidence
+captureScriptedFailure(const AppSpec &app, const explore::Target &t)
+{
+    explore::FailureEvidence ev;
+    for (uint64_t seed = 1; seed <= 8 && !ev.failed; ++seed) {
+        vm::VmConfig cfg = app.buggyConfig;
+        cfg.seed = seed;
+        ev = explore::captureFailure(t, cfg, "");
+    }
+    return ev;
+}
+
 std::vector<std::string>
 observedFailureTags(const AppSpec &app)
 {

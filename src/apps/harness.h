@@ -12,6 +12,7 @@
 #include "apps/app_spec.h"
 #include "conair/driver.h"
 #include "explore/campaign.h"
+#include "explore/evidence.h"
 #include "ir/module.h"
 #include "vm/interp.h"
 
@@ -125,6 +126,15 @@ explore::Target campaignTarget(const CampaignApp &app);
  * find the buggy interleavings themselves.
  */
 vm::RunResult runUnderSchedule(const PreparedApp &p, vm::VmConfig cfg);
+
+/**
+ * The scripted-failure probe: captures the first failing run of
+ * @p app's hand-scripted buggy schedule (AppSpec::buggyConfig) over
+ * seeds 1..8 (explore::captureFailure on target @p t, token "").
+ * FailureEvidence::failed is false when no seed failed.
+ */
+explore::FailureEvidence captureScriptedFailure(const AppSpec &app,
+                                                const explore::Target &t);
 
 /** @} */
 

@@ -30,7 +30,6 @@
 #include "explore/schedule.h"
 #include "obs/coverage/coverage.h"
 #include "obs/metrics.h"
-#include "obs/postmortem/diagnosis.h"
 #include "obs/profile/profile.h"
 #include "obs/profile/profile_export.h"
 #include "vm/stats.h"
@@ -128,37 +127,6 @@ struct CampaignOptions
      *  Aggregation happens in matrix order, so the merged metrics are
      *  independent of worker count like every other report field. */
     bool collectMetrics = false;
-
-    /**
-     * After aggregation, deterministically replay every target's first
-     * failing schedule in diagnosis recording mode and attach the
-     * postmortem RecoveryReport (racy pair, switch window, verdict) to
-     * the TargetReport — so every first-failing schedule in
-     * BENCH_explore.json carries a diagnosis.  The replay happens
-     * outside the worker pool (one schedule per target), so campaign
-     * aggregates stay worker-independent.
-     */
-    bool diagnoseFailures = false;
-
-    /**
-     * Flush-on-abort: when a differential leg trips (divergence or
-     * unrecovered failure), re-run that schedule instrumented and dump
-     * the legs' trace plus the diagnosis into this directory (created
-     * if missing) instead of discarding them — oracle failures stay
-     * debuggable after the campaign exits.  Empty = off.
-     */
-    std::string abortArtifactDir;
-
-    /**
-     * Replay corpus: after aggregation, re-record every target's first
-     * failing schedule replay-grade (Grow recorder, diagnosis mode),
-     * ddmin-minimise the switch list with the failure and diagnosis
-     * verdict preserved, strictly verify the minimised log, and save
-     * it as DIR/<kernel>.replay — the O(1) repro artifact behind
-     * `bench_explore --replay`.  Runs outside the worker pool like the
-     * diagnosis pass.  Empty = off.
-     */
-    std::string replayLogDir;
 
     /**
      * Fold an interleaving-coverage edge set out of every unhardened
@@ -295,48 +263,6 @@ struct ScheduleInstruments
 };
 
 /**
- * Outcome of the fix-synthesis pass over one target (src/fix/): the
- * patch synthesized from the first failing schedule's diagnosis plus
- * its automated proof obligations (minimized-replay check, full
- * campaign re-run on the patched build, clean-run overhead bound).
- * The campaign engine itself never synthesizes fixes — bench_explore
- * runs the pass after runCampaign() and fills this in, so the struct
- * lives here header-only to keep conair_explore free of a fix-library
- * dependency while `kernels[].fix` still rides in the TargetReport.
- */
-struct FixSummary
-{
-    bool attempted = false;   ///< the pass ran for this target
-    bool synthesized = false; ///< a verifier-clean patch was produced
-    std::string strategy;     ///< "wait-for-value", "lock-guard", ...
-    std::string verdict;      ///< diagnosis verdict the fix targets
-    std::string variable;     ///< racing global the fix protects
-    std::string mutexName;    ///< lock used/introduced ("" for waits)
-    bool usedExistingMutex = false;
-    uint64_t edits = 0;       ///< patch-report edit count
-    std::string error;        ///< non-empty when synthesis failed
-
-    /** Minimized-replay obligation: the kernel's .replay log no longer
-     *  reproduces the failure on the patched build. */
-    bool replayChecked = false;
-    bool replayFailureGone = false;
-
-    /** Campaign obligation: full matrix re-run on the patched build. */
-    bool campaignRan = false;
-    uint64_t patchedSchedules = 0;
-    uint64_t patchedFailing = 0;
-    uint64_t patchedDeadlocks = 0;
-    uint64_t patchedDivergences = 0;
-    uint64_t patchedInconclusive = 0;
-
-    /** Clean-run step overhead of patched vs. baseline. */
-    double overhead = 0;
-    bool overheadOk = false;
-
-    bool validated = false; ///< every obligation above passed
-};
-
-/**
  * What one target's guided search pass produced (a plain-data
  * projection of GuidedResult, kept here so campaign.h does not depend
  * on guided.h; runCampaign fills it when
@@ -464,32 +390,6 @@ struct TargetReport
     std::vector<obs::prof::WallCell> wall;
     /** @} */
 
-    /** Postmortem diagnosis of firstFailure (only when
-     *  CampaignOptions::diagnoseFailures and foundFailure). */
-    bool hasDiagnosis = false;
-    obs::pm::RecoveryReport diagnosis;
-    /** Which leg the diagnosis trace came from ("hardened" when the
-     *  hardened build told a recovery story, else "unhardened"). */
-    std::string diagnosisLeg;
-
-    /** Files written by flush-on-abort for this target. */
-    std::vector<std::string> abortArtifacts;
-
-    /**
-     * @name Replay corpus (only when CampaignOptions::replayLogDir and
-     * foundFailure): the ddmin-minimised replay log of firstFailure.
-     * @{
-     */
-    bool hasReplayLog = false;
-    std::string replayLogPath;            ///< DIR/<kernel>.replay
-    uint64_t replayOriginalSwitches = 0;  ///< before minimisation
-    uint64_t replayMinimizedSwitches = 0; ///< after minimisation
-    /** The minimised log also replayed faithfully under the Reference
-     *  engine (record-under-Fused, replay-under-Reference oracle). */
-    bool replayCrossEngineVerified = false;
-    std::string replayError; ///< non-empty when the pass failed
-    /** @} */
-
     /**
      * @name Interleaving coverage (only when
      * CampaignOptions::collectCoverage): per-target aggregates over
@@ -518,10 +418,6 @@ struct TargetReport
      *  CampaignOptions::searchMode == SearchMode::Guided). */
     bool hasGuided = false;
     GuidedSummary guided;
-
-    /** Fix-synthesis pass results (filled by bench_explore after the
-     *  campaign, never by runCampaign itself — see FixSummary). */
-    FixSummary fix;
 };
 
 /** Whole-campaign result. */

@@ -56,7 +56,7 @@ class CampaignTelemetry
     void noteSchedule(unsigned worker, const std::string &target,
                       const ScheduleOutcome &o);
 
-    /** Replay-corpus size (set by the post-aggregation pass). */
+    /** Replay-corpus size (set by bench_explore's post-campaign pass). */
     void noteCorpusSize(uint64_t n);
 
     /** Accumulates guided-search progress (runGuided publishes one

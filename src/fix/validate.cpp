@@ -87,9 +87,6 @@ validatePatch(const ir::Module &patched, const explore::Target &baseline,
     copts.differential = true;
     copts.stopAfterFailures = 0;
     copts.collectMetrics = false;
-    copts.diagnoseFailures = false;
-    copts.abortArtifactDir.clear();
-    copts.replayLogDir.clear();
 
     explore::CampaignReport rep = explore::runCampaign({t}, copts);
     const explore::TargetReport &tr = rep.targets[0];

@@ -1,6 +1,7 @@
 #include "obs/profile/profile_export.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 
 #include "support/json.h"
@@ -172,6 +173,30 @@ hotPhaseTable(const ProfileDoc &doc, size_t topN)
         (unsigned long long)all.wastedSteps,
         (unsigned long long)all.backoffTicks);
     return out;
+}
+
+std::string
+foldedPath(const std::string &path)
+{
+    return withExtension(path, ".folded");
+}
+
+bool
+writeProfileFiles(const ProfileDoc &doc, const std::string &name,
+                  const std::string &path, std::string &err)
+{
+    const std::pair<std::string, std::string> files[] = {
+        {path, speedscopeJson(doc, name) + "\n"},
+        {foldedPath(path), foldedStacks(doc)},
+    };
+    for (const auto &[file, body] : files) {
+        std::ofstream f(file);
+        if (!(f << body)) {
+            err = "cannot write " + file;
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace conair::obs::prof

@@ -69,4 +69,14 @@ std::string foldedStacks(const ProfileDoc &doc);
  *  the recovery-tax summary underneath. */
 std::string hotPhaseTable(const ProfileDoc &doc, size_t topN = 8);
 
+/** The profile files of --profile FILE: the speedscope JSON at
+ *  @p path and the folded stacks next to it, at
+ *  foldedPath(@p path).  False with a one-line @p err when a file
+ *  cannot be written. */
+bool writeProfileFiles(const ProfileDoc &doc, const std::string &name,
+                       const std::string &path, std::string &err);
+
+/** Where writeProfileFiles() puts the folded stacks for @p path. */
+std::string foldedPath(const std::string &path);
+
 } // namespace conair::obs::prof

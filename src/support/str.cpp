@@ -1,6 +1,8 @@
 #include "support/str.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace conair {
@@ -93,6 +95,29 @@ unescape(const std::string &s)
         }
     }
     return out;
+}
+
+bool
+parseU64(const std::string &s, uint64_t &out)
+{
+    if (s.empty() || s[0] < '0' || s[0] > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (errno == ERANGE || !end || *end != '\0')
+        return false;
+    out = v;
+    return true;
+}
+
+std::string
+withExtension(const std::string &path, const std::string &ext)
+{
+    size_t dot = path.rfind('.');
+    if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
+        return path + ext;
+    return path.substr(0, dot) + ext;
 }
 
 } // namespace conair

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -32,5 +33,16 @@ std::string escape(const std::string &s);
 
 /** Reverses escape(): interprets backslash escapes. */
 std::string unescape(const std::string &s);
+
+/** Strict whole-string unsigned parse: digits only (no sign, no
+ *  whitespace, no trailing junk), and overflow is an error — a
+ *  mistyped number must never wrap into a silently different value. */
+bool parseU64(const std::string &s, uint64_t &out);
+
+/** @p path with the extension of its last component replaced by
+ *  @p ext (which includes the dot), or appended when that component
+ *  has none: "x.json" -> "x.prom", "noext" -> "noext.prom",
+ *  "dir.d/file" -> "dir.d/file.prom". */
+std::string withExtension(const std::string &path, const std::string &ext);
 
 } // namespace conair

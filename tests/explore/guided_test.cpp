@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "apps/harness.h"
+#include "explore/evidence.h"
 #include "explore/guided.h"
 #include "obs/replay/replay_log.h"
 #include "obs/replay/replay_run.h"
@@ -538,23 +539,10 @@ TEST_F(GuidedFixture, PersistedCorpusEntriesReplayOnBothEngines)
         ++checked;
         ASSERT_FALSE(e.spec.points.empty()) << e.spec.token();
 
-        vm::VmConfig cfg;
-        e.spec.applyTo(cfg);
-        cfg.pctHorizon = t.horizon;
-        cfg.quantum = t.quantum;
-        cfg.maxSteps = opts.maxSteps;
-        cfg.maxRetries = opts.maxRetries;
-        obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-        cfg.recorder = &rec;
-        cfg.recordSharedAccesses = true;
-        vm::RunResult run = vm::runProgram(*t.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-
-        obs::replay::ReplayLog log;
-        ASSERT_TRUE(obs::replay::buildReplayLog(
-            t.name, e.spec.token(), cfg, rec, run, log, err))
-            << e.spec.token() << ": " << err;
+        FailureEvidence ev =
+            captureFailure(t, cellConfig(t, e.spec, opts), e.spec.token());
+        ASSERT_TRUE(ev.hasLog) << e.spec.token() << ": " << ev.logError;
+        const obs::replay::ReplayLog &log = ev.log;
 
         for (vm::ExecEngine engine :
              {vm::ExecEngine::Reference, vm::ExecEngine::Fused}) {

@@ -4,7 +4,7 @@
  *
  * The synthesis half is rendered live: ZSNES's campaign schedule
  * pct:d2:s2 (the rediscovered first failure the exploration bench
- * reports) is recorded, diagnosed, and fixed — the VM is
+ * reports) is captured (explore::captureFailure) and fixed — the VM is
  * deterministic, so the report is byte-stable.  The validation half
  * is rendered from hand-built ValidationResult fixtures (one
  * VALIDATED, one NOT VALIDATED) so the golden pins the full format
@@ -13,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
-#include "explore/schedule.h"
+#include "explore/evidence.h"
 #include "fix/fix.h"
 #include "fix/report.h"
 #include "fix/validate.h"
@@ -23,20 +23,6 @@
 
 namespace conair::fixtest {
 namespace {
-
-/** The bench_explore campaign config for (target, token). */
-vm::VmConfig
-campaignConfig(const explore::Target &target,
-               const explore::ScheduleSpec &s)
-{
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = target.horizon;
-    cfg.quantum = target.quantum;
-    cfg.maxSteps = 4'000'000;
-    cfg.maxRetries = 200;
-    return cfg;
-}
 
 fix::FixPlan
 synthesizeZsnesFix()
@@ -51,16 +37,14 @@ synthesizeZsnesFix()
     EXPECT_TRUE(explore::parseScheduleToken("pct:d2:s2", s, tokErr))
         << tokErr;
 
-    // Diagnosis-grade recording of the hardened leg (recovery lets
-    // the racing partner land in the trace; the unhardened leg dies
-    // at the assert first).
-    obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg = campaignConfig(target, s);
-    cfg.recorder = &rec;
-    cfg.recordSharedAccesses = true;
-    vm::runProgram(*target.hardened, cfg);
-    obs::pm::RecoveryReport rep = obs::pm::diagnose(
-        rec, *target.hardened, "ZSNES", s.token());
+    // The failing cell recorded once; the leg rule picks the
+    // hardened leg (recovery lets the racing partner land in the
+    // trace; the unhardened leg dies at the assert first).
+    explore::FailureEvidence ev = explore::captureFailure(
+        target, explore::cellConfig(target, s, {}), s.token());
+    EXPECT_TRUE(ev.failed);
+    EXPECT_TRUE(ev.diagnosis.hardened);
+    const obs::pm::RecoveryReport &rep = ev.diagnosis.report;
     return fix::synthesizeFix(*target.plain, rep);
 }
 

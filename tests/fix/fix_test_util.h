@@ -1,25 +1,19 @@
 /**
  * @file
- * Shared front half for the fix-synthesis tests: record one failing
- * run of a kernel's scripted buggy schedule, diagnose it postmortem,
- * and (optionally) build + ddmin-minimise the failing run's replay
- * log — everything synthesizeFix()/validatePatch() consume.
- *
- * Diagnosis prefers the hardened leg under the same schedule: ConAir
- * recovery retries until the racing partner's access lands in the
- * trace, whereas the unhardened leg dies at the failure site first
- * (the same leg-selection rule bench_explore uses).
+ * Shared front half for the fix-synthesis tests: capture one failing
+ * run of a kernel's scripted buggy schedule
+ * (apps::captureScriptedFailure — recorded once, diagnosed on the leg
+ * the leg rule picks) and (optionally) ddmin-minimise its replay log
+ * — everything synthesizeFix()/validatePatch() consume.
  */
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "apps/harness.h"
 #include "obs/postmortem/diagnosis.h"
 #include "obs/replay/minimize.h"
 #include "obs/replay/replay_log.h"
-#include "vm/interp.h"
 
 namespace conair::fixtest {
 
@@ -51,59 +45,27 @@ recordScriptedFailure(const std::string &name, bool wantLog,
     out.app = apps::prepareCampaignApp(*spec);
     out.target = apps::campaignTarget(out.app);
 
-    auto rec = std::make_unique<obs::FlightRecorder>(
-        4096, obs::RecorderMode::Grow);
-    vm::VmConfig cfg;
-    vm::RunResult fail;
-    bool gotFailure = false;
-    for (uint64_t seed = 1; seed <= 8 && !gotFailure; ++seed) {
-        rec = std::make_unique<obs::FlightRecorder>(
-            4096, obs::RecorderMode::Grow);
-        cfg = spec->buggyConfig;
-        cfg.seed = seed;
-        cfg.recorder = rec.get();
-        cfg.recordSharedAccesses = true;
-        fail = vm::runProgram(*out.target.plain, cfg);
-        cfg.recorder = nullptr;
-        cfg.recordSharedAccesses = false;
-        gotFailure = !apps::runIsCorrect(*spec, fail);
-    }
-    if (!gotFailure) {
+    explore::FailureEvidence ev =
+        apps::captureScriptedFailure(*spec, out.target);
+    if (!ev.failed) {
         err = name + ": scripted buggy schedule never failed "
                      "(seeds 1..8)";
         return false;
     }
-
-    obs::FlightRecorder hardRec(4096, obs::RecorderMode::Grow);
-    {
-        vm::VmConfig hcfg = cfg;
-        hcfg.recorder = &hardRec;
-        hcfg.recordSharedAccesses = true;
-        vm::runProgram(*out.target.hardened, hcfg);
-    }
-    bool useHard =
-        hardRec.totalOf(obs::EventKind::RecoveryDone) > 0 ||
-        hardRec.totalOf(obs::EventKind::FailureSite) > 0;
-    out.report = obs::pm::diagnose(
-        useHard ? hardRec : *rec,
-        useHard ? *out.target.hardened : *out.target.plain, name);
+    out.report = ev.diagnosis.report;
     if (out.report.episodes.empty()) {
         err = name + ": diagnosis produced no episodes";
         return false;
     }
 
     if (wantLog) {
-        std::string lerr;
-        if (!obs::replay::buildReplayLog(name, "", cfg, *rec, fail,
-                                         out.log, lerr)) {
-            err = name + ": replay log build failed: " + lerr;
+        if (!ev.hasLog) {
+            err = name + ": replay log build failed: " + ev.logError;
             return false;
         }
         obs::replay::MinimizeResult mres =
-            obs::replay::minimizeReplayLog(*out.target.plain, out.log,
-                                           {});
-        if (mres.ok)
-            out.log = mres.minimized;
+            obs::replay::minimizeReplayLog(*out.target.plain, ev.log);
+        out.log = mres.ok ? mres.minimized : ev.log;
         out.hasLog = true;
     }
     return true;

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
-#include "explore/campaign.h"
+#include "explore/evidence.h"
 #include "obs/replay/replay_log.h"
 #include "vm/interp.h"
 
@@ -26,17 +26,14 @@ struct RecordedFailure
     ReplayLog log;
 };
 
-/** The campaign base config for (target, spec) — mirrors
- *  explore::runOneSchedule. */
+/** The campaign cell config (explore::cellConfig) at the smoke
+ *  campaign's step budget. */
 inline vm::VmConfig
 campaignConfig(const explore::Target &t, const explore::ScheduleSpec &s)
 {
-    vm::VmConfig cfg;
-    s.applyTo(cfg);
-    cfg.pctHorizon = t.horizon;
-    cfg.quantum = t.quantum;
-    cfg.maxSteps = 2'000'000;
-    return cfg;
+    explore::CampaignOptions opts;
+    opts.maxSteps = 2'000'000;
+    return explore::cellConfig(t, s, opts);
 }
 
 inline bool

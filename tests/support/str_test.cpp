@@ -55,5 +55,27 @@ TEST(StartsWith, Basics)
     EXPECT_FALSE(startsWith("con", "conair"));
 }
 
+TEST(ParseU64, AcceptsDigitsOnly)
+{
+    uint64_t v = 7;
+    EXPECT_TRUE(parseU64("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64("18446744073709551615", v));
+    EXPECT_EQ(v, UINT64_MAX);
+    for (const char *bad : {"", "x", "-1", "+1", " 1", "1 ", "1x",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseU64(bad, v)) << bad;
+    EXPECT_EQ(v, UINT64_MAX) << "a failed parse must not clobber out";
+}
+
+TEST(WithExtension, SwapsOnlyTheLastComponentsExtension)
+{
+    EXPECT_EQ(withExtension("x.json", ".prom"), "x.prom");
+    EXPECT_EQ(withExtension("noext", ".prom"), "noext.prom");
+    EXPECT_EQ(withExtension("dir.d/file", ".folded"), "dir.d/file.folded");
+    EXPECT_EQ(withExtension("dir.d/p.speedscope.json", ".folded"),
+              "dir.d/p.speedscope.folded");
+}
+
 } // namespace
 } // namespace conair
