@@ -7,7 +7,9 @@
  */
 #pragma once
 
+#include <climits>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,7 @@
 
 #include "apps/harness.h"
 #include "obs/profile/profile_export.h"
+#include "support/str.h"
 
 namespace conair::bench {
 
@@ -27,6 +30,36 @@ argUnsigned(int argc, char **argv, const char *flag, unsigned def)
         if (std::strcmp(argv[i], flag) == 0)
             return unsigned(std::strtoul(argv[i + 1], nullptr, 10));
     return def;
+}
+
+/*
+ * The strict command-line rule: an unknown flag, a missing value or a
+ * count that is not a positive number prints one error line and the
+ * usage line, and the bench exits 2.  (argUnsigned above is lax; the
+ * benches still reading it ignore what they do not know.)
+ */
+
+/** Prints "TOOL: WHY" and "usage: TOOL USAGE" to stderr; returns 2,
+ *  the exit code of a malformed command line. */
+inline int
+usageExit(const char *tool, const char *usage, const std::string &why)
+{
+    std::fprintf(stderr, "%s: %s\nusage: %s %s\n", tool, why.c_str(), tool,
+                 usage);
+    return 2;
+}
+
+/** Reads the count after the flag at argv[@p i] and steps @p i past
+ *  it: digits only, 1 to UINT_MAX.  False when it is missing or
+ *  malformed. */
+inline bool
+takePositiveCount(int argc, char **argv, int &i, unsigned &out)
+{
+    uint64_t v = 0;
+    if (i + 1 >= argc || !parseU64(argv[++i], v) || v == 0 || v > UINT_MAX)
+        return false;
+    out = unsigned(v);
+    return true;
 }
 
 /** Simple fixed-width table printer. */

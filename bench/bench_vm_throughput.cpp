@@ -25,6 +25,10 @@
  *               runs — its step-identity against the bare rows is
  *               part of the divergence gate — the flag only controls
  *               printing and export.
+ *
+ * The command line is strict: an unknown flag (--help included), a
+ * missing value, or a --runs count that is not a positive number
+ * prints the usage line and exits 2.
  */
 #include "bench/bench_util.h"
 
@@ -206,18 +210,26 @@ overhead(const Cell &instrumented, const Cell &bare)
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 3);
-    if (runs == 0)
-        runs = 1;
+    constexpr const char *kTool = "bench_vm_throughput";
+    constexpr const char *kUsage = "[--smoke] [--runs N] [--profile [FILE]]";
+    unsigned runs = 3;
     bool smoke = false, profileOn = false;
     std::string profilePath;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
+        const std::string arg = argv[i];
+        if (arg == "--smoke") {
             smoke = true;
-        if (std::strcmp(argv[i], "--profile") == 0) {
+        } else if (arg == "--profile") {
             profileOn = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')
-                profilePath = argv[i + 1];
+                profilePath = argv[++i];
+        } else if (arg == "--runs") {
+            if (!takePositiveCount(argc, argv, i, runs))
+                return usageExit(kTool, kUsage,
+                                 "--runs needs a positive count");
+        } else {
+            return usageExit(kTool, kUsage,
+                             "unknown argument '" + arg + "'");
         }
     }
 

@@ -380,7 +380,7 @@ runCampaign(const std::vector<Target> &targets,
             const auto &[policy, depth] = opts.policies[pi];
             for (uint64_t seed = 1; seed <= opts.seedsPerPolicy; ++seed)
                 jobs.push_back(
-                    {ti, ScheduleSpec{policy, seed, depth}, seed, pi});
+                    {ti, ScheduleSpec{policy, seed, depth, {}}, seed, pi});
         }
 
     std::vector<ScheduleOutcome> results(jobs.size());

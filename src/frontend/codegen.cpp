@@ -800,7 +800,6 @@ class Codegen
         // Compound assignment: load, op, store.
         builder_.setLoc(e.loc);
         Value *old = builder_.load(lowerType(lv.type), lv.value);
-        TypedValue oldv{old, lv.type};
         TypedValue rhs = genValue(*e.kids[1]);
         builder_.setLoc(e.loc);
         TypedValue result;

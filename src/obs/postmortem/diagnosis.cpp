@@ -258,8 +258,8 @@ episodeBoundary(const TraceIndex &ix, const Episode &e)
  *  escaped into a function argument (§4.3 shape — the enabling read
  *  then lives in a caller, so the dynamic fallback must take over). */
 std::vector<uint32_t>
-sliceCandidates(const ir::Module &m, const ir::Instruction *siteInst,
-                ca::FailureKind kind, bool hasOracle, bool *interproc)
+sliceCandidates(const ir::Instruction *siteInst, ca::FailureKind kind,
+                bool hasOracle, bool *interproc)
 {
     std::vector<uint32_t> out;
     *interproc = false;
@@ -594,8 +594,8 @@ diagnose(const FlightRecorder &rec, const ir::Module &m,
         } else {
             bool interproc = false;
             std::vector<uint32_t> candidates = sliceCandidates(
-                m, siteInst, ep.kind,
-                ep.siteTag.rfind("oracle.", 0) == 0, &interproc);
+                siteInst, ep.kind, ep.siteTag.rfind("oracle.", 0) == 0,
+                &interproc);
             ep.sliceInterproc = interproc;
             diagnoseRace(ix, m, candidates, boundary, episodeEnd, ep);
         }

@@ -203,8 +203,7 @@ Interp::run()
         wpNextSnapshotAt_ = cfg_.wpCheckpointInterval;
     }
 
-    const bool canBurst =
-        cfg_.schedFastPath && cfg_.chaosRollbackEveryN == 0;
+    const bool canBurst = cfg_.schedFastPath;
     while (running_) {
         if (wpPendingRestore_) {
             wpRestore();
@@ -364,21 +363,43 @@ Interp::runBurst(Thread &t)
     //    step-counted and bounded below.
     // So a burst retires instructions back-to-back with identical
     // clock ticks, step counts, and RNG draws as stepwise scheduling.
+    // An expired quantum ends the burst only when another thread could
+    // take the CPU (see renewQuantum).
     const uint64_t next_wake = nextWakeDeadline();
     const bool wp = cfg_.wpCheckpointInterval > 0;
-    while (quantumLeft_ > 0 && running_ && !forceSwitch_ &&
-           !schedEvent_ && !wpPendingRestore_ &&
-           t.state == ThreadState::Runnable && clock_ < next_wake &&
-           result_.stats.steps < cfg_.maxSteps &&
+    while (running_ && !forceSwitch_ && !schedEvent_ &&
+           !wpPendingRestore_ && t.state == ThreadState::Runnable &&
+           clock_ < next_wake && result_.stats.steps < cfg_.maxSteps &&
            result_.stats.schedTicks < nextSchedPointAt_ &&
            result_.stats.steps < replayNextSwitchAt_ &&
            (!wp || result_.stats.steps < wpNextSnapshotAt_) &&
            hangCheckCountdown_ > 1) {
+        if (quantumLeft_ == 0 && !renewQuantum(t))
+            break;
         --quantumLeft_;
         --hangCheckCountdown_;
         ++result_.stats.fastPathSteps;
         stepThread(t);
     }
+}
+
+bool
+Interp::renewQuantum(Thread &t)
+{
+    // Every other burst-gate term holds, so the main loop's next
+    // iteration would be a no-op wakeDue, then pickThread's scan.  With
+    // @p t the only runnable thread that scan re-picks @p t, so run it
+    // here: same RNG draws, same new quantum.
+    if (cfg_.replay)
+        return false;
+    for (const auto &th : threads_)
+        if (th.get() != &t && th->state == ThreadState::Runnable)
+            return false;
+    pickThread();
+    // pickThread charged the next step to the new quantum; the burst
+    // charges it itself.
+    ++quantumLeft_;
+    return true;
 }
 
 //
@@ -539,6 +560,7 @@ Interp::runBurstFused(Thread &t)
     // frame/scheduler-affecting instruction).
     const uint64_t next_wake = nextWakeDeadline();
     const bool wp = cfg_.wpCheckpointInterval > 0;
+    const bool chaos = cfg_.chaosRollbackEveryN > 0;
     constexpr uint64_t kBudgetCap = uint64_t(1) << 30;
 
     // Shared across the dispatch labels; assigned, never initialised,
@@ -636,7 +658,7 @@ Interp::runBurstFused(Thread &t)
 resync:
     VM_FLUSH(); // pending local charges from a budget-exhausted burst
     // The exact per-step gate of runBurst.
-    if (!(quantumLeft_ > 0 && running_ && !forceSwitch_ && !schedEvent_ &&
+    if (!(running_ && !forceSwitch_ && !schedEvent_ &&
           !wpPendingRestore_ && t.state == ThreadState::Runnable &&
           clock_ < next_wake && result_.stats.steps < cfg_.maxSteps &&
           result_.stats.schedTicks < nextSchedPointAt_ &&
@@ -644,6 +666,19 @@ resync:
           (!wp || result_.stats.steps < wpNextSnapshotAt_) &&
           hangCheckCountdown_ > 1))
         return;
+    if (quantumLeft_ == 0 && !renewQuantum(t))
+        return;
+    if (chaos && t.cleanSinceCkpt) {
+        // maybeChaosRollback draws from chaosRng_ only inside a clean
+        // idempotent window, so step the window exactly as runBurst
+        // does.  Outside it no draw can happen until a Solo record (a
+        // ConAir call) reopens the window, and Solo then resyncs.
+        --quantumLeft_;
+        --hangCheckCountdown_;
+        ++result_.stats.fastPathSteps;
+        stepThread(t);
+        goto resync;
+    }
     frp = &t.frames.back();
     dfnp = frp->dfn;
     insts = dfnp->insts.data();
@@ -699,13 +734,19 @@ resync:
 
     VM_CASE(Solo)
     {
+        const DecodedInst &di = insts[idx];
         frp->dPc = idx + 1;
         VM_CHARGE();
         VM_PROF_SEG(1); // the solo step classifies by opcode below
         if (prof_)
-            profStep(t, insts[idx].op, insts[idx].builtin);
+            profStep(t, di.op, di.builtin);
         VM_FLUSH_ACCT();
-        execDecoded(t, insts[idx]);
+        execDecoded(t, di);
+        if (chaos && running_) { // stepThread's post-step chaos update
+            if (di.dirties)
+                t.cleanSinceCkpt = false;
+            maybeChaosRollback(t);
+        }
         goto resync; // may have changed frames, state, or scheduler
     }
     VM_CASE(SoloCont)
@@ -940,7 +981,7 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     if (engineFused_) {
         f.dfn = dfn ? dfn : decoded_->of(fn);
         f.map = nullptr;
-        f.regs.resize(f.dfn->regCount);
+        f.regs = takeRegs(f.dfn->regCount);
         // RegMap numbers arguments first: argument i is register i.
         for (unsigned i = 0; i < nArgs; ++i)
             f.regs[i] = args[i];
@@ -961,11 +1002,43 @@ Interp::pushFrame(Thread &t, const ir::Function *fn, const RtValue *args,
     t.frames.push_back(std::move(f));
 }
 
+std::vector<RtValue>
+Interp::takeRegs(size_t n)
+{
+    std::vector<RtValue> regs;
+    if (!regPool_.empty()) {
+        regs = std::move(regPool_.back());
+        regPool_.pop_back();
+    }
+    regs.assign(n, RtValue());
+    return regs;
+}
+
+uint32_t
+Interp::newStackSlot(Frame &f, size_t cells)
+{
+    const uint32_t id = nextSlotId_++;
+    if (slotPool_.empty()) {
+        stackSlots_.emplace(id, std::vector<RtValue>(cells));
+    } else {
+        auto node = std::move(slotPool_.back());
+        slotPool_.pop_back();
+        node.key() = id;
+        node.mapped().assign(cells, RtValue());
+        stackSlots_.insert(std::move(node));
+    }
+    f.allocaSlots.push_back(id);
+    return id;
+}
+
 void
 Interp::releaseFrameSlots(Frame &f)
 {
     for (uint32_t id : f.allocaSlots) {
-        stackSlots_.erase(id);
+        if (!engineFused_)
+            stackSlots_.erase(id);
+        else if (auto node = stackSlots_.extract(id))
+            slotPool_.push_back(std::move(node));
         // Slot ids are never reused, but a thread may hold a cached
         // handle to the slot being destroyed; drop it so a later
         // dangling-pointer access misses the cache and faults.
@@ -981,6 +1054,8 @@ Interp::popFrame(Thread &t, RtValue ret)
     Frame done = std::move(t.frames.back());
     t.frames.pop_back();
     releaseFrameSlots(done);
+    if (engineFused_)
+        regPool_.push_back(std::move(done.regs));
     if (t.frames.empty()) {
         t.state = ThreadState::Done;
         t.exitValue = ret.kind == ir::Type::I64 ? ret.i : 0;
@@ -1050,7 +1125,7 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
     f.pc = target->insts().begin();
 
     // Evaluate the leading phis as one parallel copy.
-    std::vector<std::pair<const Instruction *, RtValue>> updates;
+    phiScratch_.clear();
     for (auto it = target->insts().begin(); it != target->insts().end();
          ++it) {
         const Instruction *inst = it->get();
@@ -1059,7 +1134,7 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
         bool matched = false;
         for (unsigned i = 0; i < inst->numBlockOps(); ++i) {
             if (inst->incomingBlock(i) == f.prevBlock) {
-                updates.push_back({inst, getValue(f, inst->operand(i))});
+                phiScratch_.push_back(getValue(f, inst->operand(i)));
                 matched = true;
                 break;
             }
@@ -1076,8 +1151,9 @@ Interp::jumpTo(Thread &t, const ir::BasicBlock *target)
         if (prof_)
             profStep(t, Opcode::Phi, Builtin::None);
     }
-    for (auto &[inst, v] : updates)
-        setReg(f, inst, v);
+    auto phi = target->insts().begin();
+    for (const RtValue &v : phiScratch_)
+        setReg(f, (phi++)->get(), v);
 }
 
 void
@@ -1794,9 +1870,7 @@ Interp::execDecoded(Thread &t, const DecodedInst &di)
 
     switch (di.op) {
       case Opcode::Alloca: {
-        uint32_t id = nextSlotId_++;
-        stackSlots_[id] = std::vector<RtValue>(size_t(di.imm));
-        f.allocaSlots.push_back(id);
+        uint32_t id = newStackSlot(f, size_t(di.imm));
         f.regs[di.dst] = RtValue::ofPtr(Ptr{Ptr::Seg::Stack, id, 0});
         break;
       }

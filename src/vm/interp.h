@@ -238,6 +238,12 @@ class Interp
                    const DecodedFunction *dfn = nullptr);
     void popFrame(Thread &t, RtValue ret);
     void releaseFrameSlots(Frame &f);
+    /** Fused engine: a zeroed register file of @p n registers,
+     *  reusing a popped frame's storage when one is pooled. */
+    std::vector<RtValue> takeRegs(size_t n);
+    /** Fused engine: allocates a zeroed @p cells-cell stack slot owned
+     *  by @p f, reusing a released slot's node when one is pooled. */
+    uint32_t newStackSlot(Frame &f, size_t cells);
     void finishLoad(Frame &f, uint32_t dstReg, ir::Type type,
                     const RtValue &cell, const ir::Instruction *site);
 
@@ -310,10 +316,15 @@ class Interp
     void applySchedPoint(Thread &t);
     /** Earliest wake deadline of any sleeper / timed lock. */
     uint64_t nextWakeDeadline() const;
-    /** Drains the rest of the current quantum without consulting the
-     *  scheduler while @p t is the only runnable thread.  Preserves
-     *  clock ticks, step counts, and RNG draws exactly. */
+    /** Runs @p t without returning to the scheduler loop while every
+     *  skipped per-step activity is a no-op, renewing its quantum in
+     *  place while it is the only runnable thread.  Preserves clock
+     *  ticks, step counts, and RNG draws exactly. */
     void runBurst(Thread &t);
+    /** Called by a burst whose quantum ran out: when @p t is the only
+     *  runnable thread, takes the main loop's pickThread decision in
+     *  place and returns true (the burst goes on); false otherwise. */
+    bool renewQuantum(Thread &t);
     /** The fused engine's burst: dispatches superinstruction records
      *  (fuse.h) under a precomputed step budget.  Charges identical
      *  per-instruction accounting to runBurst / stepwise execution.
@@ -417,6 +428,13 @@ class Interp
     std::vector<std::vector<RtValue>> globals_;
     std::unordered_map<uint32_t, HeapBlock> heap_;
     std::unordered_map<uint32_t, std::vector<RtValue>> stackSlots_;
+    /** Storage of popped frames and released slots, reused so that a
+     *  Fused call or alloca allocates nothing in the steady state.  Pure
+     *  capacity: never observable, never snapshotted.  The Reference
+     *  allocates plainly and never fills them, so the referee shares
+     *  none of this bookkeeping. */
+    std::vector<std::vector<RtValue>> regPool_;
+    std::vector<decltype(stackSlots_)::node_type> slotPool_;
     uint32_t nextHeapId_ = 1;
     uint32_t nextSlotId_ = 1;
     std::unordered_map<CellKey, MutexState, CellKeyHash> mutexes_;
@@ -429,7 +447,6 @@ class Interp
     /** Set whenever a thread becomes runnable outside the scheduler
      *  (lock grant, join wake, spawn); ends a fast-path burst. */
     bool schedEvent_ = false;
-    uint32_t lastRunnableCount_ = 0;
     uint64_t hangCheckCountdown_ = 1024;
     std::vector<uint32_t> runnableScratch_; ///< pickThread, reused
     std::vector<RtValue> phiScratch_;       ///< phi parallel copies

@@ -16,11 +16,11 @@ namespace {
 TEST(ScheduleToken, RoundTrips)
 {
     const ScheduleSpec specs[] = {
-        {vm::SchedPolicy::Pct, 17, 3},
-        {vm::SchedPolicy::Pct, 1, 2},
-        {vm::SchedPolicy::PreemptBound, 5, 2},
-        {vm::SchedPolicy::Random, 9, 0},
-        {vm::SchedPolicy::RoundRobin, 2, 0},
+        {vm::SchedPolicy::Pct, 17, 3, {}},
+        {vm::SchedPolicy::Pct, 1, 2, {}},
+        {vm::SchedPolicy::PreemptBound, 5, 2, {}},
+        {vm::SchedPolicy::Random, 9, 0, {}},
+        {vm::SchedPolicy::RoundRobin, 2, 0, {}},
     };
     for (const ScheduleSpec &s : specs) {
         ScheduleSpec parsed;
@@ -43,7 +43,7 @@ TEST(ScheduleToken, RejectsMalformedTokens)
 
 TEST(ScheduleToken, AppliesToConfig)
 {
-    ScheduleSpec s{vm::SchedPolicy::Pct, 41, 4};
+    ScheduleSpec s{vm::SchedPolicy::Pct, 41, 4, {}};
     vm::VmConfig cfg;
     s.applyTo(cfg);
     EXPECT_EQ(cfg.policy, vm::SchedPolicy::Pct);
@@ -298,8 +298,9 @@ TEST_F(CampaignFixture, StopAfterFailuresSkipsWork)
     opts.stopAfterFailures = 1;
     CampaignReport rep = runCampaign(targets, opts);
     const TargetReport &tr = rep.targets[0];
-    if (tr.foundFailure)
+    if (tr.foundFailure) {
         EXPECT_GT(tr.skipped, 0u);
+    }
     EXPECT_EQ(tr.schedules + tr.skipped,
               opts.policies.size() * opts.seedsPerPolicy);
 }

@@ -73,7 +73,7 @@ recordFailure(const char *name, RecordedFailure &out,
           {vm::SchedPolicy::PreemptBound, 2},
           {vm::SchedPolicy::Random, 0}})
         for (uint64_t seed = 1; seed <= 250; ++seed)
-            probes.push_back({policy, seed, depth});
+            probes.push_back({policy, seed, depth, {}});
     for (const explore::ScheduleSpec &s : probes) {
         vm::VmConfig cfg = campaignConfig(out.target, s);
         cfg.engine = engine;

@@ -8,9 +8,9 @@ steps run — --repro with --trace/--metrics/--timeline, --diagnose,
 --record-replay + --minimize then --replay on both engines, --fix with
 and without a token, a two-kernel smoke campaign with live telemetry,
 and minicc --app --fix — checks their exit codes, checks that malformed
-command lines exit 2 with a one-line error, and finally runs the
-artifact validator (scripts/validate_artifacts.py) over what they
-wrote.
+command lines (bench_vm_throughput's too) exit 2 with a one-line error,
+and finally runs the artifact validator (scripts/validate_artifacts.py)
+over what they wrote.
 """
 import os
 import subprocess
@@ -82,6 +82,11 @@ def main(argv):
                     ["--app", "ZSNES", "--serve", "1", "--serve-seconds", "x"],
                     ["--app", "ZSNES", "--delay", "1:x"]):
             run([minicc] + bad, want_rc=2)
+        for bad in (["--help"], ["--bogus-flag"], ["--runs"],
+                    ["--smoke", "--runs", "x"], ["--smoke", "--runs", "0"],
+                    ["--smoke", "--runs", "-1"],
+                    ["--smoke", "--runs", "99999999999999999999"]):
+            run([vm_bench] + bad, want_rc=2)
 
         run([sys.executable, validator, tmp], want_out="speedscope exports")
     for f in FAILURES:

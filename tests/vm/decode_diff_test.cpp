@@ -13,6 +13,7 @@
  * whole-program-checkpoint and chaos modes) under both engines and
  * every hot-path-knob combination, and require equality.
  */
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -61,6 +62,13 @@ expectSameRun(const RunResult &a, const RunResult &b,
     EXPECT_EQ(s.wpRecoveries, t.wpRecoveries) << ctx;
     EXPECT_EQ(s.wpSnapshotCost, t.wpSnapshotCost) << ctx;
     EXPECT_EQ(s.chaosRollbacks, t.chaosRollbacks) << ctx;
+    ASSERT_EQ(s.chaosSites.size(), t.chaosSites.size()) << ctx;
+    for (size_t i = 0; i < s.chaosSites.size(); ++i) {
+        EXPECT_EQ(s.chaosSites[i].step, t.chaosSites[i].step)
+            << ctx << " chaos site " << i;
+        EXPECT_EQ(s.chaosSites[i].tid, t.chaosSites[i].tid)
+            << ctx << " chaos site " << i;
+    }
     ASSERT_EQ(s.recoveries.size(), t.recoveries.size()) << ctx;
     for (size_t i = 0; i < s.recoveries.size(); ++i) {
         const RecoveryEvent &x = s.recoveries[i];
@@ -96,7 +104,8 @@ engineVariants(VmConfig base)
             {"reference/burst", ref_burst}};
 }
 
-void
+/** Runs every variant, requires equality, and returns the fused run. */
+RunResult
 diffAllVariants(const ir::Module &m, const VmConfig &base,
                 const std::string &ctx)
 {
@@ -107,6 +116,7 @@ diffAllVariants(const ir::Module &m, const VmConfig &base,
         expectSameRun(first, r,
                       ctx + " [" + variants[i].first + " vs fused]");
     }
+    return first;
 }
 
 std::string
@@ -195,16 +205,67 @@ TEST(DecodeDiff, ChaosRollbackModeAgrees)
     // Chaos injection draws from its own RNG on every eligible step;
     // eligibility depends on the idempotent-window bookkeeping both
     // engines must maintain identically (DecodedInst::dirties vs the
-    // interpreter-local predicate).
-    const apps::AppSpec *app = apps::findApp("MySQL1");
-    ASSERT_NE(app, nullptr);
-    apps::HardenOptions harden;
-    apps::PreparedApp hardened = apps::prepareApp(*app, harden);
+    // interpreter-local predicate).  The campaign skips its hardened
+    // Reference differential on chaos legs, so this sweep is the only
+    // referee of the fused burst's clean-window stepping and in-place
+    // quantum renewal: the original long-quantum RoundRobin case, then
+    // every hardened kernel under each exploration policy and under
+    // RoundRobin at the default short quantum (which expires inside
+    // single-thread stretches, so the bursts renew it), several seeds,
+    // and a dense and a sparse injection rate.
+    const apps::AppSpec *mysql1 = apps::findApp("MySQL1");
+    ASSERT_NE(mysql1, nullptr);
+    {
+        apps::HardenOptions harden;
+        apps::PreparedApp hardened = apps::prepareApp(*mysql1, harden);
+        VmConfig cfg = mysql1->cleanConfig;
+        cfg.seed = 3;
+        cfg.chaosRollbackEveryN = 200;
+        diffAllVariants(*hardened.module, cfg, "MySQL1 chaos");
+    }
 
-    VmConfig cfg = app->cleanConfig;
-    cfg.seed = 3;
-    cfg.chaosRollbackEveryN = 200;
-    diffAllVariants(*hardened.module, cfg, "MySQL1 chaos");
+    std::vector<const apps::AppSpec *> kernels;
+    for (const apps::AppSpec &app : apps::allApps())
+        kernels.push_back(&app);
+    for (const apps::AppSpec &app : apps::challengeApps())
+        kernels.push_back(&app);
+    ASSERT_EQ(kernels.size(), 11u);
+
+    uint64_t rolledBackCases = 0;
+    for (const apps::AppSpec *app : kernels) {
+        apps::HardenOptions harden;
+        apps::PreparedApp hardened = apps::prepareApp(*app, harden);
+        // Horizon calibrated the way the campaign does: the clean
+        // round-robin run's scheduling-tick count.
+        VmConfig calib;
+        calib.policy = SchedPolicy::RoundRobin;
+        calib.quantum = 1'000;
+        const uint64_t horizon = std::max<uint64_t>(
+            runProgram(*hardened.module, calib).stats.schedTicks, 64);
+
+        for (SchedPolicy policy :
+             {SchedPolicy::Pct, SchedPolicy::PreemptBound,
+              SchedPolicy::Random, SchedPolicy::RoundRobin}) {
+            for (uint64_t every : {16, 128}) {
+                for (uint64_t seed : {1, 2, 3}) {
+                    VmConfig cfg;
+                    cfg.policy = policy;
+                    cfg.seed = seed;
+                    cfg.pctHorizon = horizon;
+                    cfg.chaosRollbackEveryN = every;
+                    const std::string ctx =
+                        app->name + " chaos " + schedPolicyName(policy) +
+                        " every " + std::to_string(every) + " seed " +
+                        std::to_string(seed);
+                    if (diffAllVariants(*hardened.module, cfg, ctx)
+                            .stats.chaosRollbacks > 0)
+                        ++rolledBackCases;
+                }
+            }
+        }
+    }
+    // Not vacuous: chaos really rolls back in most of the sweep.
+    EXPECT_GT(rolledBackCases, 11u * 4 * 2 * 3 / 2);
 }
 
 TEST(DecodeDiff, RecursionAndDeepCallsAgree)
