@@ -140,8 +140,22 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
         sp.interproc = w.promoted;
         plan.sites.push_back(sp);
     }
-    for (const auto &[pos, info] : points)
-        plan.points.push_back({pos, info});
+    // Number the points in program order (function, block, then
+    // instruction; a function's entry point first), so the hardened IR
+    // does not depend on where the heap put the blocks.
+    auto take = [&](const Position &p) {
+        auto it = points.find(p);
+        if (it != points.end())
+            plan.points.push_back(*it);
+    };
+    for (const auto &f : m.functions()) {
+        for (const auto &bb : f->blocks()) {
+            if (bb.get() == f->entry())
+                take(Position{bb.get(), nullptr});
+            for (const auto &inst : bb->insts())
+                take(Position{bb.get(), inst.get()});
+        }
+    }
     report.transform = applyTransform(m, plan);
 
     auto t1 = std::chrono::steady_clock::now();
