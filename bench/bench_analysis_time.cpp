@@ -30,7 +30,11 @@ median(std::vector<double> v)
 int
 main(int argc, char **argv)
 {
-    unsigned reps = argUnsigned(argc, argv, "--reps", 30);
+    unsigned reps = 30;
+    if (int rc = parseCountFlags(argc, argv, "bench_analysis_time",
+                                 "[--reps N]",
+                                 {{"--reps", &reps}}))
+        return rc;
 
     std::printf("=== Section 6.4: static analysis and transformation "
                 "time (median of %u runs, microseconds) ===\n\n", reps);

@@ -19,7 +19,11 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 25);
+    unsigned runs = 25;
+    if (int rc = parseCountFlags(argc, argv, "bench_fig2_patterns",
+                                 "[--runs N]",
+                                 {{"--runs", &runs}}))
+        return rc;
 
     std::printf("=== Fig 2: recoverability of atomicity-violation "
                 "patterns under idempotent reexecution ===\n\n");

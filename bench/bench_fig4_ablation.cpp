@@ -40,8 +40,13 @@ struct PointResult
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 20);
-    unsigned oh_runs = argUnsigned(argc, argv, "--overhead-runs", 5);
+    unsigned runs = 20;
+    unsigned oh_runs = 5;
+    if (int rc = parseCountFlags(argc, argv, "bench_fig4_ablation",
+                                 "[--runs N] [--overhead-runs N]",
+                                 {{"--runs", &runs},
+                                  {"--overhead-runs", &oh_runs}}))
+        return rc;
     const unsigned napps = allApps().size();
 
     std::printf("=== Fig 4: reexecution-region design spectrum ===\n\n");

@@ -20,8 +20,13 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 1000);
-    unsigned oh_runs = argUnsigned(argc, argv, "--overhead-runs", 20);
+    unsigned runs = 1000;
+    unsigned oh_runs = 20;
+    if (int rc = parseCountFlags(argc, argv, "bench_table3_recovery",
+                                 "[--runs N] [--overhead-runs N]",
+                                 {{"--runs", &runs},
+                                  {"--overhead-runs", &oh_runs}}))
+        return rc;
 
     std::printf("=== Table 3: overall bug recovery results ===\n");
     std::printf("(recovery over %u failure runs; overhead over %u "

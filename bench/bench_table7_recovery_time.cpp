@@ -15,7 +15,11 @@ using namespace conair::bench;
 int
 main(int argc, char **argv)
 {
-    unsigned runs = argUnsigned(argc, argv, "--runs", 50);
+    unsigned runs = 50;
+    if (int rc = parseCountFlags(argc, argv, "bench_table7_recovery_time",
+                                 "[--runs N]",
+                                 {{"--runs", &runs}}))
+        return rc;
 
     std::printf("=== Table 7: failure recovery time (virtual-time "
                 "microseconds) ===\n\n");

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -22,21 +23,10 @@
 
 namespace conair::bench {
 
-/** Parses "--runs N"-style flags; returns the default otherwise. */
-inline unsigned
-argUnsigned(int argc, char **argv, const char *flag, unsigned def)
-{
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], flag) == 0)
-            return unsigned(std::strtoul(argv[i + 1], nullptr, 10));
-    return def;
-}
-
 /*
  * The strict command-line rule: an unknown flag, a missing value or a
  * count that is not a positive number prints one error line and the
- * usage line, and the bench exits 2.  (argUnsigned above is lax; the
- * benches still reading it ignore what they do not know.)
+ * usage line, and the bench exits 2.
  */
 
 /** Prints "TOOL: WHY" and "usage: TOOL USAGE" to stderr; returns 2,
@@ -60,6 +50,34 @@ takePositiveCount(int argc, char **argv, int &i, unsigned &out)
         return false;
     out = unsigned(v);
     return true;
+}
+
+/** One count option of a strict bench command line. */
+struct CountFlag
+{
+    const char *name; ///< e.g. "--runs"
+    unsigned *value;  ///< keeps its default unless the flag is given
+};
+
+/** Reads a command line made only of count options, under the strict
+ *  rule above.  Returns 0 when it parsed, else the exit code (2). */
+inline int
+parseCountFlags(int argc, char **argv, const char *tool, const char *usage,
+                std::initializer_list<CountFlag> flags)
+{
+    for (int i = 1; i < argc; ++i) {
+        const CountFlag *hit = nullptr;
+        for (const CountFlag &f : flags)
+            if (std::strcmp(argv[i], f.name) == 0)
+                hit = &f;
+        if (!hit)
+            return usageExit(tool, usage, std::string("unknown argument '") +
+                                              argv[i] + "'");
+        if (!takePositiveCount(argc, argv, i, *hit->value))
+            return usageExit(tool, usage, std::string(hit->name) +
+                                              " needs a positive count");
+    }
+    return 0;
 }
 
 /** Simple fixed-width table printer. */

@@ -2,13 +2,16 @@
 """The bench_explore and minicc tool modes, end to end.
 
 Usage: tool_modes_test.py BENCH_EXPLORE MINICC BENCH_VM_THROUGHPUT VALIDATOR
+                          COUNT_BENCH...
 
 Runs, in a fresh temporary directory, every tool mode the CI smoke
 steps run — --repro with --trace/--metrics/--timeline, --diagnose,
 --record-replay + --minimize then --replay on both engines, --fix with
 and without a token, a two-kernel smoke campaign with live telemetry,
 and minicc --app --fix — checks their exit codes, checks that malformed
-command lines (bench_vm_throughput's too) exit 2 with a one-line error,
+command lines (bench_vm_throughput's and those of the COUNT_BENCH
+paper benches, whose only flags are positive counts, too) exit 2 with
+a one-line error,
 and finally runs the artifact validator (scripts/validate_artifacts.py)
 over what they wrote.
 """
@@ -38,10 +41,11 @@ def run(cmd, want_rc=0, want_out=None):
 
 
 def main(argv):
-    if len(argv) != 5:
+    if len(argv) < 5:
         print(__doc__, file=sys.stderr)
         return 2
-    explore, minicc, vm_bench, validator = map(os.path.abspath, argv[1:])
+    explore, minicc, vm_bench, validator = map(os.path.abspath, argv[1:5])
+    count_benches = [os.path.abspath(b) for b in argv[5:]]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         run([vm_bench, "--smoke", "--runs", "1",
@@ -87,6 +91,15 @@ def main(argv):
                     ["--smoke", "--runs", "-1"],
                     ["--smoke", "--runs", "99999999999999999999"]):
             run([vm_bench] + bad, want_rc=2)
+        # Each paper bench takes --runs, or --reps for the analysis-time
+        # bench; none may start work on a malformed count.
+        for bench in count_benches:
+            flag = ("--reps" if "analysis_time" in os.path.basename(bench)
+                    else "--runs")
+            for bad in (["--help"], ["--bogus-flag"], [flag], [flag, "x"],
+                        [flag, "0"], [flag, "-1"],
+                        [flag, "99999999999999999999"]):
+                run([bench] + bad, want_rc=2)
 
         run([sys.executable, validator, tmp], want_out="speedscope exports")
     for f in FAILURES:
