@@ -1,6 +1,5 @@
 #include "analysis/cfg_utils.h"
 
-#include <unordered_set>
 #include <vector>
 
 namespace conair::analysis {
@@ -15,27 +14,31 @@ removeUnreachableBlocks(Function &f)
 {
     if (f.blocks().empty())
         return 0;
-    std::unordered_set<BasicBlock *> reachable;
+    f.renumber();
+    std::vector<char> reachable(f.numBlocks(), 0);
     std::vector<BasicBlock *> work{f.entry()};
-    reachable.insert(f.entry());
+    reachable[f.entry()->id()] = 1;
     while (!work.empty()) {
         BasicBlock *bb = work.back();
         work.pop_back();
         for (BasicBlock *s : bb->successors()) {
-            if (reachable.insert(s).second)
+            if (!reachable[s->id()]) {
+                reachable[s->id()] = 1;
                 work.push_back(s);
+            }
         }
     }
+    auto live = [&](const BasicBlock *bb) { return reachable[bb->id()]; };
 
     // Fix phis: drop incoming edges from doomed blocks.
     for (auto &bb : f.blocks()) {
-        if (!reachable.count(bb.get()))
+        if (!live(bb.get()))
             continue;
         for (auto &inst : bb->insts()) {
             if (inst->opcode() != Opcode::Phi)
                 break;
             for (unsigned i = 0; i < inst->numBlockOps();) {
-                if (!reachable.count(inst->blockOp(i)))
+                if (!live(inst->blockOp(i)))
                     inst->removeIncoming(inst->blockOp(i));
                 else
                     ++i;
@@ -46,7 +49,7 @@ removeUnreachableBlocks(Function &f)
     // Break def-use edges out of doomed blocks, then erase them.
     unsigned removed = 0;
     for (auto &bb : f.blocks()) {
-        if (reachable.count(bb.get()))
+        if (live(bb.get()))
             continue;
         for (auto &inst : bb->insts()) {
             inst->dropAllOperands();
@@ -67,13 +70,15 @@ removeUnreachableBlocks(Function &f)
         }
     }
     for (auto it = f.blocks().begin(); it != f.blocks().end();) {
-        if (!reachable.count(it->get())) {
+        if (!live(it->get())) {
             it = f.blocks().erase(it);
             ++removed;
         } else {
             ++it;
         }
     }
+    if (removed)
+        f.renumber();
     return removed;
 }
 

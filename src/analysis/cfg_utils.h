@@ -11,7 +11,8 @@ namespace conair::analysis {
 
 /**
  * Removes blocks not reachable from the entry, fixing up phis in the
- * surviving blocks.  Returns the number of blocks removed.
+ * surviving blocks.  Leaves @p f numbered (Function::renumber()).
+ * Returns the number of blocks removed.
  */
 unsigned removeUnreachableBlocks(ir::Function &f);
 

@@ -1,6 +1,7 @@
 #include "analysis/dominators.h"
 
 #include <algorithm>
+#include <span>
 
 #include "ir/printer.h"
 #include "support/diag.h"
@@ -16,67 +17,91 @@ const std::vector<BasicBlock *> DomTree::empty_;
 
 namespace {
 
-/** A small CFG view that can be forward or reversed (for postdoms). */
+/**
+ * The graph the iteration runs on, in CSR form.  Forward: node b is
+ * block b.  Post: node 0 is a virtual exit and node b + 1 is block b,
+ * with every edge reversed and the exit joined to the blocks without
+ * successors.  Adjacency lists keep the CFG's order, so the reverse
+ * post-order (and so phi placement) is a pure function of the IR.
+ */
 struct Graph
 {
-    std::vector<BasicBlock *> nodes; // index 0 is the (virtual) root
-    std::vector<std::vector<int>> succs;
-    std::vector<std::vector<int>> preds;
+    std::vector<uint32_t> succOff, succ, predOff, pred;
+
+    std::span<const uint32_t>
+    succs(uint32_t n) const
+    {
+        return {succ.data() + succOff[n], succOff[n + 1] - succOff[n]};
+    }
+
+    std::span<const uint32_t>
+    preds(uint32_t n) const
+    {
+        return {pred.data() + predOff[n], predOff[n + 1] - predOff[n]};
+    }
 };
 
 Graph
-buildGraph(const Function &f, bool post)
+buildGraph(const ir::Cfg &cfg, bool post)
 {
     Graph g;
-    std::unordered_map<const BasicBlock *, int> idx;
-    if (post)
-        g.nodes.push_back(nullptr); // virtual exit as root
-    for (const auto &bb : f.blocks()) {
-        idx[bb.get()] = g.nodes.size();
-        g.nodes.push_back(bb.get());
-    }
-    g.succs.resize(g.nodes.size());
-    g.preds.resize(g.nodes.size());
-    auto edge = [&](int a, int b) {
-        g.succs[a].push_back(b);
-        g.preds[b].push_back(a);
+    const uint32_t nb = cfg.numBlocks();
+    const uint32_t off = post ? 1 : 0;
+    auto append = [](std::vector<uint32_t> &out, uint32_t base,
+                     std::span<const uint32_t> ids) {
+        for (uint32_t id : ids)
+            out.push_back(id + base);
     };
-    for (const auto &bb : f.blocks()) {
-        int from = idx[bb.get()];
-        for (BasicBlock *s : bb->successors()) {
-            int to = idx[s];
-            if (post)
-                edge(to, from); // reversed
-            else
-                edge(from, to);
-        }
-        if (post && bb->successors().empty())
-            edge(0, from); // virtual exit -> exit blocks (reversed CFG)
+    g.succOff.push_back(0);
+    g.predOff.push_back(0);
+    if (post) {
+        // The virtual exit: successors are the exit blocks, no preds.
+        for (uint32_t b = 0; b < nb; ++b)
+            if (cfg.succs(b).empty())
+                g.succ.push_back(b + 1);
+        g.succOff.push_back(uint32_t(g.succ.size()));
+        g.predOff.push_back(0);
+    }
+    for (uint32_t b = 0; b < nb; ++b) {
+        append(g.succ, off, post ? cfg.preds(b) : cfg.succs(b));
+        g.succOff.push_back(uint32_t(g.succ.size()));
+        append(g.pred, off, post ? cfg.succs(b) : cfg.preds(b));
+        if (post && cfg.succs(b).empty())
+            g.pred.push_back(0);
+        g.predOff.push_back(uint32_t(g.pred.size()));
     }
     return g;
 }
 
 } // namespace
 
-DomTree::DomTree(const Function &f, bool post)
+DomTree::DomTree(const ir::Cfg &cfg, bool post) : f_(&cfg.function())
 {
-    Graph g = buildGraph(f, post);
-    if (g.nodes.empty())
+    const uint32_t nb = cfg.numBlocks();
+    if (nb == 0)
         return;
+    Graph g = buildGraph(cfg, post);
+    const uint32_t off = post ? 1 : 0;
+    const uint32_t num_nodes = nb + off;
+    auto blockOf = [&](uint32_t node) -> BasicBlock * {
+        return node < off ? nullptr : cfg.block(node - off);
+    };
     // Node 0 is the root either way: the entry block (forward) or the
     // virtual exit (post-dominators).
-    const int root = 0;
+    const uint32_t root = 0;
 
     // Reverse post-order from the root.
-    std::vector<int> order;
-    std::vector<char> visited(g.nodes.size(), 0);
-    std::vector<std::pair<int, size_t>> stack;
+    std::vector<uint32_t> order;
+    order.reserve(num_nodes);
+    std::vector<char> visited(num_nodes, 0);
+    std::vector<std::pair<uint32_t, uint32_t>> stack;
     stack.push_back({root, 0});
     visited[root] = 1;
     while (!stack.empty()) {
         auto &[n, i] = stack.back();
-        if (i < g.succs[n].size()) {
-            int s = g.succs[n][i++];
+        std::span<const uint32_t> succs = g.succs(n);
+        if (i < succs.size()) {
+            uint32_t s = succs[i++];
             if (!visited[s]) {
                 visited[s] = 1;
                 stack.push_back({s, 0});
@@ -89,28 +114,38 @@ DomTree::DomTree(const Function &f, bool post)
     std::reverse(order.begin(), order.end());
 
     // Map graph nodes to dense RPO indices; unreachable nodes excluded.
-    std::vector<int> rpoIndex(g.nodes.size(), -1);
+    std::vector<int> rpoIndex(num_nodes, -1);
     for (size_t i = 0; i < order.size(); ++i)
         rpoIndex[order[i]] = int(i);
 
-    byIndex_.resize(order.size());
-    preds_.resize(order.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-        BasicBlock *bb = g.nodes[order[i]];
+    blocks_.resize(nb);
+    rpoOf_.assign(nb, -1);
+    for (uint32_t b = 0; b < nb; ++b)
+        blocks_[b] = cfg.block(b);
+    const int n = int(order.size());
+    byIndex_.resize(n);
+    std::vector<uint32_t> predOff(n + 1, 0);
+    std::vector<int> preds;
+    for (int i = 0; i < n; ++i) {
+        BasicBlock *bb = blockOf(order[i]);
         byIndex_[i] = bb;
         if (bb)
-            index_[bb] = int(i);
-        for (int p : g.preds[order[i]])
+            rpoOf_[order[i] - off] = i;
+        for (uint32_t p : g.preds(order[i]))
             if (rpoIndex[p] >= 0)
-                preds_[i].push_back(rpoIndex[p]);
+                preds.push_back(rpoIndex[p]);
+        predOff[i + 1] = uint32_t(preds.size());
     }
+    auto predsOf = [&](int i) {
+        return std::span<const int>(preds.data() + predOff[i],
+                                    predOff[i + 1] - predOff[i]);
+    };
     rpo_.clear();
     for (BasicBlock *bb : byIndex_)
         if (bb)
             rpo_.push_back(bb);
 
     // Cooper-Harvey-Kennedy iteration.
-    int n = order.size();
     idom_.assign(n, -1);
     idom_[0] = 0;
     auto intersect = [&](int a, int b) {
@@ -127,7 +162,7 @@ DomTree::DomTree(const Function &f, bool post)
         changed = false;
         for (int i = 1; i < n; ++i) {
             int new_idom = -1;
-            for (int p : preds_[i]) {
+            for (int p : predsOf(i)) {
                 if (idom_[p] == -1)
                     continue;
                 new_idom =
@@ -143,9 +178,9 @@ DomTree::DomTree(const Function &f, bool post)
     // Dominance frontiers.
     frontier_.assign(n, {});
     for (int i = 0; i < n; ++i) {
-        if (preds_[i].size() < 2)
+        if (predsOf(i).size() < 2)
             continue;
-        for (int p : preds_[i]) {
+        for (int p : predsOf(i)) {
             int runner = p;
             while (runner != idom_[i] && runner != -1) {
                 if (byIndex_[i]) // skip the virtual node
@@ -166,8 +201,13 @@ DomTree::DomTree(const Function &f, bool post)
 int
 DomTree::indexOf(const BasicBlock *bb) const
 {
-    auto it = index_.find(bb);
-    return it == index_.end() ? -1 : it->second;
+    if (!bb || bb->parent() != f_)
+        return -1;
+    uint32_t id = bb->id();
+    if (id >= blocks_.size() || blocks_[id] != bb)
+        fatal("DomTree: @" + f_->name() + ": block " + bb->name() +
+              " has a stale id");
+    return rpoOf_[id];
 }
 
 BasicBlock *
@@ -225,7 +265,7 @@ DomTree::children(const BasicBlock *bb) const
 bool
 verifySSA(const Function &f, DiagEngine &diags)
 {
-    DomTree dt(f);
+    DomTree dt(ir::Cfg(f), /*post=*/false);
     bool ok = true;
     for (const auto &bb : f.blocks()) {
         if (!dt.isReachable(bb.get()))

@@ -8,10 +8,9 @@
  */
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
-#include "ir/function.h"
+#include "ir/cfg.h"
 
 namespace conair::analysis {
 
@@ -20,11 +19,17 @@ namespace conair::analysis {
  * @p post = false for dominators, true for post-dominators (computed on
  * the reversed CFG with a virtual exit joining all Ret/Unreachable
  * blocks).
+ *
+ * The tree is indexed by block id and keeps no reference to @p cfg, so
+ * it stays usable while instructions are added or removed (mem2reg),
+ * but not across an edit of the block list.  Queries about a block of
+ * another function answer as for an unreachable block; a block of this
+ * function whose id is stale is fatal.
  */
 class DomTree
 {
   public:
-    explicit DomTree(const ir::Function &f, bool post = false);
+    explicit DomTree(const ir::Cfg &cfg, bool post = false);
 
     /** Immediate dominator, or nullptr for the root / unreachable. */
     ir::BasicBlock *idom(const ir::BasicBlock *bb) const;
@@ -61,19 +66,21 @@ class DomTree
     bool
     isReachable(const ir::BasicBlock *bb) const
     {
-        return index_.count(bb) != 0;
+        return indexOf(bb) >= 0;
     }
 
   private:
+    /** RPO index of @p bb, or -1 (unreachable or another function's). */
     int indexOf(const ir::BasicBlock *bb) const;
 
-    std::unordered_map<const ir::BasicBlock *, int> index_;
+    const ir::Function *f_ = nullptr;
+    std::vector<ir::BasicBlock *> blocks_;        // by block id
+    std::vector<int> rpoOf_;                      // by block id, -1 if none
     std::vector<ir::BasicBlock *> rpo_;
     std::vector<int> idom_;                       // by rpo index
     std::vector<std::vector<ir::BasicBlock *>> frontier_;
     std::vector<std::vector<ir::BasicBlock *>> children_;
     std::vector<ir::BasicBlock *> byIndex_;
-    std::vector<std::vector<int>> preds_;
     static const std::vector<ir::BasicBlock *> empty_;
 };
 

@@ -1,7 +1,5 @@
 #include "analysis/mem2reg.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/cfg_utils.h"
@@ -55,8 +53,10 @@ slotType(const Instruction *alloca_inst)
 class Promoter
 {
   public:
-    Promoter(Function &f, Mem2RegStats &stats) : f_(f), dt_(f),
-        stats_(stats)
+    /** @p f must be numbered; blocks keep their ids throughout. */
+    Promoter(Function &f, Mem2RegStats &stats)
+        : f_(f), dt_(ir::Cfg(f)), stats_(stats),
+          phisOf_(f.numBlocks())
     {}
 
     void
@@ -74,12 +74,13 @@ class Promoter
     void
     collect()
     {
+        varOf_.assign(f_.instructionCount(), -1);
         for (auto &bb : f_.blocks()) {
             for (auto &inst : bb->insts()) {
                 if (inst->opcode() != Opcode::Alloca)
                     continue;
                 if (isPromotable(inst.get())) {
-                    varIndex_[inst.get()] = allocas_.size();
+                    varOf_[inst->id()] = int(allocas_.size());
                     allocas_.push_back(inst.get());
                     ++stats_.promoted;
                 } else {
@@ -92,10 +93,26 @@ class Promoter
             types_[i] = slotType(allocas_[i]);
     }
 
+    /** The promoted variable @p addr is the slot of, or -1.  Only the
+     *  allocas were numbered when the pass began; everything it adds
+     *  (phis) has kNoId. */
+    int
+    varOf(const Value *addr) const
+    {
+        if (addr->kind() != ir::ValueKind::Instruction)
+            return -1;
+        uint32_t id = static_cast<const Instruction *>(addr)->id();
+        if (id >= varOf_.size())
+            return -1;
+        int v = varOf_[id];
+        return v >= 0 && allocas_[v] == addr ? v : -1;
+    }
+
     void
     insertPhis()
     {
-        phiVar_.clear();
+        // has_phi[b] == v + 1: block b already merges variable v.
+        std::vector<size_t> has_phi(f_.numBlocks(), 0);
         for (size_t v = 0; v < allocas_.size(); ++v) {
             // Blocks containing a store to this variable.
             std::vector<BasicBlock *> defs;
@@ -103,20 +120,19 @@ class Promoter
                 if (u.user->opcode() == Opcode::Store)
                     defs.push_back(u.user->parent());
             // Iterated dominance frontier.
-            std::unordered_set<BasicBlock *> has_phi;
             std::vector<BasicBlock *> work = defs;
             while (!work.empty()) {
                 BasicBlock *bb = work.back();
                 work.pop_back();
                 for (BasicBlock *df : dt_.frontier(bb)) {
-                    if (has_phi.count(df))
+                    if (has_phi[df->id()] == v + 1)
                         continue;
-                    has_phi.insert(df);
+                    has_phi[df->id()] = v + 1;
                     auto phi = std::make_unique<Instruction>(Opcode::Phi,
                                                              types_[v]);
                     Instruction *placed =
                         df->insertBefore(df->front(), std::move(phi));
-                    phiVar_[placed] = v;
+                    phisOf_[df->id()].push_back({placed, v});
                     ++stats_.phisInserted;
                     work.push_back(df);
                 }
@@ -152,30 +168,25 @@ class Promoter
     renameBlock(BasicBlock *bb, std::vector<Value *> current)
     {
         // Phis in this block define new current values.
-        for (auto &inst : bb->insts()) {
-            if (inst->opcode() != Opcode::Phi)
-                break;
-            auto it = phiVar_.find(inst.get());
-            if (it != phiVar_.end())
-                current[it->second] = inst.get();
-        }
+        for (const auto &[phi, v] : phisOf_[bb->id()])
+            current[v] = phi;
         // Rewrite loads, record stores.
         std::vector<Instruction *> dead;
         for (auto &inst : bb->insts()) {
             if (inst->opcode() == Opcode::Load) {
-                auto vi = varIndex_.find(inst->operand(0));
-                if (vi == varIndex_.end())
+                int v = varOf(inst->operand(0));
+                if (v < 0)
                     continue;
-                Value *cur = current[vi->second];
+                Value *cur = current[v];
                 if (!cur)
-                    cur = defaultValue(vi->second);
+                    cur = defaultValue(v);
                 inst->replaceAllUsesWith(cur);
                 dead.push_back(inst.get());
             } else if (inst->opcode() == Opcode::Store) {
-                auto vi = varIndex_.find(inst->operand(1));
-                if (vi == varIndex_.end())
+                int v = varOf(inst->operand(1));
+                if (v < 0)
                     continue;
-                current[vi->second] = inst->operand(0);
+                current[v] = inst->operand(0);
                 dead.push_back(inst.get());
             }
         }
@@ -183,16 +194,11 @@ class Promoter
             bb->erase(inst);
         // Fill successor phis.
         for (BasicBlock *succ : bb->successors()) {
-            for (auto &inst : succ->insts()) {
-                if (inst->opcode() != Opcode::Phi)
-                    break;
-                auto it = phiVar_.find(inst.get());
-                if (it == phiVar_.end())
-                    continue;
-                Value *cur = current[it->second];
+            for (const auto &[phi, v] : phisOf_[succ->id()]) {
+                Value *cur = current[v];
                 if (!cur)
-                    cur = defaultValue(it->second);
-                inst->addIncoming(cur, bb);
+                    cur = defaultValue(v);
+                phi->addIncoming(cur, bb);
             }
         }
         // Recurse over dominator-tree children.
@@ -217,8 +223,10 @@ class Promoter
     Mem2RegStats &stats_;
     std::vector<Instruction *> allocas_;
     std::vector<Type> types_;
-    std::unordered_map<const Value *, size_t> varIndex_;
-    std::unordered_map<const Instruction *, size_t> phiVar_;
+    std::vector<int> varOf_; ///< by instruction id: variable or -1
+    /** By block id: the phis this pass placed there, with their
+     *  variable. */
+    std::vector<std::vector<std::pair<Instruction *, size_t>>> phisOf_;
 };
 
 } // namespace
@@ -232,6 +240,7 @@ promoteToSSA(Function &f)
     removeUnreachableBlocks(f);
     Mem2RegStats stats;
     Promoter(f, stats).run();
+    f.renumber();
     return stats;
 }
 

@@ -27,7 +27,8 @@ struct Mem2RegStats
 /** True when @p alloca_inst can be promoted to SSA form. */
 bool isPromotable(const ir::Instruction *alloca_inst);
 
-/** Promotes all promotable allocas in @p f. */
+/** Promotes all promotable allocas in @p f; leaves @p f numbered
+ *  (Function::renumber()). */
 Mem2RegStats promoteToSSA(ir::Function &f);
 
 /** Runs promoteToSSA over every function in @p m. */

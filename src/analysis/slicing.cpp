@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "support/diag.h"
+
 namespace conair::analysis {
 
 using ir::BasicBlock;
@@ -11,23 +13,46 @@ using ir::Opcode;
 using ir::Value;
 using ir::ValueKind;
 
-const std::vector<const Instruction *> ControlDeps::empty_;
+namespace {
 
-ControlDeps::ControlDeps(const Function &f)
+bool
+byId(const Instruction *a, const Instruction *b)
 {
-    DomTree pdt(f, /*post=*/true);
-    for (const auto &bb : f.blocks()) {
+    return a->id() < b->id();
+}
+
+} // namespace
+
+bool
+SliceResult::contains(const Instruction *inst) const
+{
+    return std::binary_search(insts.begin(), insts.end(), inst, byId);
+}
+
+bool
+SliceResult::reaches(const ir::Argument *arg) const
+{
+    return std::find(args.begin(), args.end(), arg) != args.end();
+}
+
+ControlDeps::ControlDeps(const ir::Cfg &cfg)
+    : blocks_(cfg.numBlocks()), deps_(cfg.numBlocks())
+{
+    DomTree pdt(cfg, /*post=*/true);
+    for (uint32_t b = 0; b < cfg.numBlocks(); ++b) {
+        const BasicBlock *bb = cfg.block(b);
+        blocks_[b] = bb;
         const Instruction *term = bb->terminator();
         if (!term || term->opcode() != Opcode::CondBr)
             continue;
-        const BasicBlock *stop = pdt.idom(bb.get());
+        const BasicBlock *stop = pdt.idom(bb);
         for (BasicBlock *succ : bb->successors()) {
             // Every X on the post-dominator path from succ up to (but
             // excluding) ipdom(bb) is control dependent on bb's
             // terminator; bb itself can appear (loop headers).
             const BasicBlock *x = succ;
             while (x && x != stop) {
-                auto &vec = deps_[x];
+                auto &vec = deps_[x->id()];
                 if (std::find(vec.begin(), vec.end(), term) == vec.end())
                     vec.push_back(term);
                 x = pdt.idom(x);
@@ -39,8 +64,21 @@ ControlDeps::ControlDeps(const Function &f)
 const std::vector<const Instruction *> &
 ControlDeps::of(const BasicBlock *bb) const
 {
-    auto it = deps_.find(bb);
-    return it == deps_.end() ? empty_ : it->second;
+    uint32_t id = bb->id();
+    if (id >= blocks_.size() || blocks_[id] != bb)
+        fatal("ControlDeps: block " + bb->name() +
+              " is not in the analysed function or its id is stale");
+    return deps_[id];
+}
+
+const FunctionAnalysis &
+ModuleAnalysis::of(const Function &f)
+{
+    for (const auto &[fn, fa] : byFunction_)
+        if (fn == &f)
+            return *fa;
+    byFunction_.push_back({&f, std::make_unique<FunctionAnalysis>(f)});
+    return *byFunction_.back().second;
 }
 
 namespace {
@@ -63,38 +101,62 @@ allocaRoot(const Value *addr)
 } // namespace
 
 SliceResult
-backwardSlice(const Function &f, const std::vector<const Value *> &seeds,
-              const ControlDeps &cdeps, const SliceOptions &opts)
+backwardSlice(const FunctionAnalysis &fa,
+              const std::vector<const Value *> &seeds,
+              const SliceOptions &opts)
 {
-    (void)f;
+    const ir::Cfg &cfg = fa.cfg;
+    const Function &f = cfg.function();
     SliceResult result;
-    std::vector<const Value *> work(seeds.begin(), seeds.end());
-    std::unordered_set<const Value *> queued(seeds.begin(), seeds.end());
+
+    // Working sets over dense ids: an instruction is queued at most
+    // once and enters the slice at most once.
+    enum : uint8_t { kQueued = 1, kInSlice = 2 };
+    std::vector<uint8_t> mark(cfg.numInsts(), 0);
+    std::vector<uint8_t> arg_seen(f.numArgs(), 0);
+    std::vector<const Instruction *> work;
 
     auto push = [&](const Value *v) {
-        if (v && queued.insert(v).second)
-            work.push_back(v);
-    };
-
-    while (!work.empty()) {
-        const Value *v = work.back();
-        work.pop_back();
-
+        if (!v)
+            return;
         if (v->kind() == ValueKind::Argument) {
-            result.args.insert(static_cast<const ir::Argument *>(v));
-            continue;
+            auto *arg = static_cast<const ir::Argument *>(v);
+            if (arg->parent() == &f && !arg_seen[arg->index()]) {
+                arg_seen[arg->index()] = 1;
+                result.args.push_back(arg);
+            }
+            return;
         }
         if (v->kind() != ValueKind::Instruction)
-            continue; // constants carry no dependence
-
+            return; // constants carry no dependence
         auto *inst = static_cast<const Instruction *>(v);
-        if (!result.insts.insert(inst).second)
+        uint8_t &m = mark[cfg.id(inst)];
+        if (!(m & kQueued)) {
+            m |= kQueued;
+            work.push_back(inst);
+        }
+    };
+    auto include = [&](const Instruction *inst) {
+        uint8_t &m = mark[cfg.id(inst)];
+        if (m & kInSlice)
+            return false;
+        m |= kInSlice;
+        result.insts.push_back(inst);
+        return true;
+    };
+
+    for (const Value *v : seeds)
+        push(v);
+    while (!work.empty()) {
+        const Instruction *inst = work.back();
+        work.pop_back();
+        if (!include(inst))
             continue;
 
         // Control dependences: the branches deciding whether this
         // instruction runs.
-        for (const Instruction *term : cdeps.of(inst->parent())) {
-            if (result.insts.insert(term).second && term->numOperands())
+        for (const Instruction *term : fa.cdeps.of(inst->parent())) {
+            if (include(term) && term->numOperands())
                 push(term->operand(0));
         }
 
@@ -111,7 +173,7 @@ backwardSlice(const Function &f, const std::vector<const Value *> &seeds,
                         if (cand->opcode() != Opcode::Store)
                             continue;
                         if (allocaRoot(cand->operand(1)) == root) {
-                            result.insts.insert(cand);
+                            include(cand);
                             push(cand->operand(0));
                         }
                     }
@@ -122,6 +184,11 @@ backwardSlice(const Function &f, const std::vector<const Value *> &seeds,
         for (unsigned i = 0; i < inst->numOperands(); ++i)
             push(inst->operand(i));
     }
+    std::sort(result.insts.begin(), result.insts.end(), byId);
+    std::sort(result.args.begin(), result.args.end(),
+              [](const ir::Argument *a, const ir::Argument *b) {
+                  return a->index() < b->index();
+              });
     return result;
 }
 

@@ -11,29 +11,31 @@
  */
 #pragma once
 
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "analysis/dominators.h"
-#include "ir/function.h"
+#include "ir/cfg.h"
 
 namespace conair::analysis {
 
 /** The result of a backward slice. */
 struct SliceResult
 {
-    /** Instructions on the slice (loads included as endpoints). */
-    std::unordered_set<const ir::Instruction *> insts;
+    /** Instructions on the slice (loads included as endpoints), in
+     *  program order. */
+    std::vector<const ir::Instruction *> insts;
 
-    /** Function arguments the slice reaches (for §4.3 condition 2). */
-    std::unordered_set<const ir::Argument *> args;
+    /** Function arguments the slice reaches (for §4.3 condition 2), in
+     *  parameter order. */
+    std::vector<const ir::Argument *> args;
 
-    bool
-    contains(const ir::Instruction *inst) const
-    {
-        return insts.count(inst) != 0;
-    }
+    /** Membership by id; valid while the sliced function's numbering
+     *  is. */
+    bool contains(const ir::Instruction *inst) const;
+
+    bool reaches(const ir::Argument *arg) const;
 };
 
 /**
@@ -41,21 +43,52 @@ struct SliceResult
  * post-dominator tree (Ferrante et al.): block X depends on terminator T
  * of block B iff B has a successor S with X post-dominating S while X
  * does not strictly post-dominate B.
+ *
+ * Indexed by block id and self-contained (no reference to the Cfg it
+ * was built from): it stays valid while instructions other than
+ * terminators are inserted, and must be rebuilt after a CFG edit.
  */
 class ControlDeps
 {
   public:
-    explicit ControlDeps(const ir::Function &f);
+    explicit ControlDeps(const ir::Cfg &cfg);
 
     /** Terminators whose outcome controls whether @p bb executes. */
     const std::vector<const ir::Instruction *> &
     of(const ir::BasicBlock *bb) const;
 
   private:
-    std::unordered_map<const ir::BasicBlock *,
-                       std::vector<const ir::Instruction *>>
-        deps_;
-    static const std::vector<const ir::Instruction *> empty_;
+    std::vector<const ir::BasicBlock *> blocks_; // by block id
+    std::vector<std::vector<const ir::Instruction *>> deps_;
+};
+
+/**
+ * The analysis state of one function for one phase: its CFG snapshot
+ * and control dependences, built together once.  Like ir::Cfg it must
+ * not live across an edit of the function.
+ */
+struct FunctionAnalysis
+{
+    explicit FunctionAnalysis(const ir::Function &f) : cfg(f), cdeps(cfg) {}
+
+    ir::Cfg cfg;
+    ControlDeps cdeps;
+};
+
+/**
+ * The FunctionAnalysis of each function of a module, built on first
+ * request: one per function for a phase that does not edit the module
+ * (ConAir's analysis phase, including §4.3's walk through callers).
+ */
+class ModuleAnalysis
+{
+  public:
+    const FunctionAnalysis &of(const ir::Function &f);
+
+  private:
+    std::vector<std::pair<const ir::Function *,
+                          std::unique_ptr<FunctionAnalysis>>>
+        byFunction_;
 };
 
 /** Optional slicing extensions. */
@@ -72,22 +105,21 @@ struct SliceOptions
     bool traceLocalStores = false;
 
     /** Region membership for traceLocalStores (required with it). */
-    const std::unordered_set<const ir::Instruction *> *regionInsts =
-        nullptr;
+    const std::vector<const ir::Instruction *> *regionInsts = nullptr;
 };
 
 /**
- * Computes the ConAir backward slice of @p seeds within @p f.
+ * Computes the ConAir backward slice of @p seeds within the function
+ * @p fa describes.
  *
- * @param f       the function being sliced
+ * @param fa      the sliced function's CFG snapshot and control
+ *                dependences
  * @param seeds   starting values (e.g. an assert condition, a checked
  *                pointer)
- * @param cdeps   precomputed control dependences for @p f
  * @param opts    optional extensions (local-store tracing)
  */
-SliceResult backwardSlice(const ir::Function &f,
+SliceResult backwardSlice(const FunctionAnalysis &fa,
                           const std::vector<const ir::Value *> &seeds,
-                          const ControlDeps &cdeps,
                           const SliceOptions &opts = {});
 
 } // namespace conair::analysis

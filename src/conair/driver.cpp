@@ -1,8 +1,7 @@
 #include "conair/driver.h"
 
+#include <algorithm>
 #include <chrono>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/callgraph.h"
 #include "analysis/slicing.h"
@@ -13,27 +12,9 @@
 namespace conair::ca {
 
 using analysis::CallGraph;
-using analysis::ControlDeps;
 using ir::Function;
 
 namespace {
-
-/** Per-function ControlDeps cache (postdominators are not free). */
-class CDepsCache
-{
-  public:
-    const ControlDeps &
-    of(const Function *f)
-    {
-        auto it = cache_.find(f);
-        if (it == cache_.end())
-            it = cache_.emplace(f, ControlDeps(*f)).first;
-        return it->second;
-    }
-
-  private:
-    std::unordered_map<const Function *, ControlDeps> cache_;
-};
 
 struct SiteWork
 {
@@ -62,25 +43,28 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
     std::vector<FailureSite> sites = identifyFailureSites(m, fso);
     report.identified = countByKind(sites);
 
+    // The analysis phase edits nothing, so one CFG snapshot and one
+    // set of control dependences per function serve every site.
+    m.renumber();
     CallGraph cg(m);
-    CDepsCache cdeps;
+    analysis::ModuleAnalysis ma;
     InterprocOptions ipo;
     ipo.maxDepth = opts.interprocDepth;
 
     // Pass 2 (§3.2): reexecution regions, then §4.3 and §4.2 per site.
     std::vector<SiteWork> work;
-    std::unordered_set<Position, PositionHash> removed_entries;
+    std::vector<const Function *> promoted_fns; ///< footnote 5
     for (const FailureSite &site : sites) {
         SiteWork w;
         w.site = site;
         w.tag = site.inst->tag();
-        w.region = computeRegion(site.inst, opts.regionPolicy);
         const Function *fn = site.inst->parent()->parent();
+        const analysis::FunctionAnalysis &fa = ma.of(*fn);
+        w.region = computeRegion(fa.cfg, site.inst, opts.regionPolicy);
 
         Recoverability intra = Recoverability::Recoverable;
         if (opts.optimize || opts.interproc)
-            intra = classifyRecoverability(site, w.region,
-                                           cdeps.of(fn),
+            intra = classifyRecoverability(site, w.region, fa,
                                            opts.regionPolicy);
 
         // §4.3 runs first: it targets exactly the sites whose
@@ -88,14 +72,13 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
         if (opts.interproc && w.region.cleanToEntry &&
             intra != Recoverability::Recoverable) {
             InterprocDecision d = analyzeInterproc(
-                site, w.region, cg, opts.regionPolicy, ipo);
+                site, w.region, cg, ma, opts.regionPolicy, ipo);
             if (d.promoted) {
                 w.promoted = true;
                 w.points = d.callerPoints;
                 // Footnote 5: the foo-entry point is removed; other
                 // sites sharing it ride along inter-procedurally.
-                removed_entries.insert(
-                    Position{fn->entry(), nullptr});
+                promoted_fns.push_back(fn);
             } else if (d.gaveUp) {
                 w.gaveUp = true;
             }
@@ -111,20 +94,50 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
         work.push_back(std::move(w));
     }
 
-    // Deduplicate reexecution points across the surviving sites.
-    std::unordered_map<Position, PositionInfo, PositionHash> points;
+    // Deduplicate reexecution points across the surviving sites and
+    // number them in program order (function, then instruction; a
+    // function's entry point first), so the hardened IR does not
+    // depend on where the heap put anything.
+    std::vector<const Function *> fn_order;
+    for (const auto &f : m.functions())
+        fn_order.push_back(f.get());
+    auto order_key = [&](const Position &p) {
+        const Function *f = p.block->parent();
+        uint64_t fi = std::find(fn_order.begin(), fn_order.end(), f) -
+                      fn_order.begin();
+        return fi << 32 | (p.after ? uint64_t(p.after->id()) + 1 : 0);
+    };
+    std::vector<std::pair<uint64_t, std::pair<Position, PositionInfo>>>
+        keyed;
     for (const SiteWork &w : work) {
         if (!w.recoverable)
             continue;
         for (const Position &p : w.points) {
-            if (removed_entries.count(p))
+            if (p.isFunctionEntry() &&
+                std::find(promoted_fns.begin(), promoted_fns.end(),
+                          p.block->parent()) != promoted_fns.end())
                 continue;
-            PositionInfo &info = points[p];
+            PositionInfo info;
             if (w.site.kind == FailureKind::Deadlock)
                 info.usedByDeadlock = true;
             else
                 info.usedByNonDeadlock = true;
+            keyed.push_back({order_key(p), {p, info}});
         }
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<std::pair<Position, PositionInfo>> points;
+    for (size_t i = 0; i < keyed.size(); ++i) {
+        const auto &[pos, info] = keyed[i].second;
+        if (i == 0 || keyed[i].first != keyed[i - 1].first) {
+            points.push_back({pos, info});
+            continue;
+        }
+        points.back().second.usedByDeadlock |= info.usedByDeadlock;
+        points.back().second.usedByNonDeadlock |= info.usedByNonDeadlock;
     }
 
     // Pass 3 (§3.3): the code transformation.
@@ -140,23 +153,9 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
         sp.interproc = w.promoted;
         plan.sites.push_back(sp);
     }
-    // Number the points in program order (function, block, then
-    // instruction; a function's entry point first), so the hardened IR
-    // does not depend on where the heap put the blocks.
-    auto take = [&](const Position &p) {
-        auto it = points.find(p);
-        if (it != points.end())
-            plan.points.push_back(*it);
-    };
-    for (const auto &f : m.functions()) {
-        for (const auto &bb : f->blocks()) {
-            if (bb.get() == f->entry())
-                take(Position{bb.get(), nullptr});
-            for (const auto &inst : bb->insts())
-                take(Position{bb.get(), inst.get()});
-        }
-    }
+    plan.points = points;
     report.transform = applyTransform(m, plan);
+    m.renumber();
 
     auto t1 = std::chrono::steady_clock::now();
     report.analysisMicros =

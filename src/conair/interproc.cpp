@@ -1,13 +1,9 @@
 #include "conair/interproc.h"
 
-#include <unordered_set>
-
-#include "analysis/slicing.h"
-
 namespace conair::ca {
 
 using analysis::CallEdge;
-using analysis::ControlDeps;
+using analysis::FunctionAnalysis;
 using analysis::SliceResult;
 using ir::Function;
 using ir::Instruction;
@@ -20,7 +16,7 @@ criticalArgIndices(const Function *fn, const SliceResult &slice)
 {
     std::vector<unsigned> out;
     for (unsigned i = 0; i < fn->numArgs(); ++i)
-        if (slice.args.count(fn->arg(i)))
+        if (slice.reaches(fn->arg(i)))
             out.push_back(i);
     return out;
 }
@@ -29,8 +25,9 @@ class Explorer
 {
   public:
     Explorer(const FailureSite &site, const analysis::CallGraph &cg,
-             const RegionPolicy &policy, const InterprocOptions &opts)
-        : site_(site), cg_(cg), policy_(policy), opts_(opts)
+             analysis::ModuleAnalysis &ma, const RegionPolicy &policy,
+             const InterprocOptions &opts)
+        : site_(site), cg_(cg), ma_(ma), policy_(policy), opts_(opts)
     {}
 
     InterprocDecision
@@ -69,11 +66,11 @@ class Explorer
         for (const CallEdge &edge : cg_.callersOf(fn)) {
             if (gave_up)
                 return points;
-            Region creg = computeCallerRegion(edge.site, policy_);
+            const FunctionAnalysis &fa = ma_.of(*edge.caller);
+            Region creg = computeCallerRegion(fa.cfg, edge.site, policy_);
 
             // Find the caller's own critical arguments: which caller
             // parameters flow into the critical operands of this call.
-            ControlDeps cdeps(*edge.caller);
             std::vector<const ir::Value *> seeds;
             if (site_.kind == FailureKind::Deadlock) {
                 // Deadlocks have no data-flow condition; the call site
@@ -83,8 +80,7 @@ class Explorer
                     if (idx < edge.site->numOperands())
                         seeds.push_back(edge.site->operand(idx));
             }
-            SliceResult cslice =
-                analysis::backwardSlice(*edge.caller, seeds, cdeps);
+            SliceResult cslice = analysis::backwardSlice(fa, seeds);
 
             bool recoverable_here =
                 site_.kind == FailureKind::Deadlock
@@ -121,6 +117,7 @@ class Explorer
 
     const FailureSite &site_;
     const analysis::CallGraph &cg_;
+    analysis::ModuleAnalysis &ma_;
     const RegionPolicy &policy_;
     const InterprocOptions &opts_;
     unsigned depthUsed_ = 0;
@@ -131,7 +128,7 @@ class Explorer
 InterprocDecision
 analyzeInterproc(const FailureSite &site, const Region &region,
                  const analysis::CallGraph &cg,
-                 const RegionPolicy &policy,
+                 analysis::ModuleAnalysis &ma, const RegionPolicy &policy,
                  const InterprocOptions &opts)
 {
     InterprocDecision none;
@@ -142,14 +139,14 @@ analyzeInterproc(const FailureSite &site, const Region &region,
     std::vector<unsigned> critical;
     if (site.kind != FailureKind::Deadlock) {
         // Condition (2): a critical parameter must be on the slice.
-        ControlDeps cdeps(*foo);
+        const FunctionAnalysis &fa = ma.of(*foo);
         SliceResult slice = analysis::backwardSlice(
-            *foo, failureConditionSeeds(site, cdeps), cdeps);
+            fa, failureConditionSeeds(site, fa.cdeps));
         critical = criticalArgIndices(foo, slice);
         if (critical.empty())
             return none;
     }
-    return Explorer(site, cg, policy, opts).run(critical);
+    return Explorer(site, cg, ma, policy, opts).run(critical);
 }
 
 } // namespace conair::ca

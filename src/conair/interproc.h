@@ -16,6 +16,7 @@
 #pragma once
 
 #include "analysis/callgraph.h"
+#include "analysis/slicing.h"
 #include "conair/optimizer.h"
 #include "conair/regions.h"
 
@@ -52,6 +53,7 @@ struct InterprocOptions
 InterprocDecision analyzeInterproc(const FailureSite &site,
                                    const Region &region,
                                    const analysis::CallGraph &cg,
+                                   analysis::ModuleAnalysis &ma,
                                    const RegionPolicy &policy,
                                    const InterprocOptions &opts);
 

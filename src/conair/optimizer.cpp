@@ -39,7 +39,7 @@ regionHasQualifyingSharedRead(const analysis::SliceResult &slice,
                               const Region &region)
 {
     for (const Instruction *inst : slice.insts)
-        if (analysis::isSharedRead(inst) && region.insts.count(inst))
+        if (analysis::isSharedRead(inst) && region.contains(inst))
             return true;
     return false;
 }
@@ -59,7 +59,7 @@ regionHasLockAcquisition(const Region &region, const Instruction *site)
 
 Recoverability
 classifyRecoverability(const FailureSite &site, const Region &region,
-                       const analysis::ControlDeps &cdeps,
+                       const analysis::FunctionAnalysis &fa,
                        const RegionPolicy &policy)
 {
     if (site.kind == FailureKind::Deadlock) {
@@ -67,14 +67,13 @@ classifyRecoverability(const FailureSite &site, const Region &region,
                    ? Recoverability::Recoverable
                    : Recoverability::NoLockInRegion;
     }
-    const ir::Function *fn = site.inst->parent()->parent();
     analysis::SliceOptions sopts;
     if (policy.allowLocalWrites) {
         sopts.traceLocalStores = true;
         sopts.regionInsts = &region.insts;
     }
     analysis::SliceResult slice = analysis::backwardSlice(
-        *fn, failureConditionSeeds(site, cdeps), cdeps, sopts);
+        fa, failureConditionSeeds(site, fa.cdeps), sopts);
     return regionHasQualifyingSharedRead(slice, region)
                ? Recoverability::Recoverable
                : Recoverability::NoSharedReadOnSlice;

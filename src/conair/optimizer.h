@@ -37,14 +37,14 @@ failureConditionSeeds(const FailureSite &site,
                       const analysis::ControlDeps &cdeps);
 
 /**
- * Classifies one site given its region.  @p cdeps must belong to the
+ * Classifies one site given its region.  @p fa must describe the
  * site's function.  Under RegionPolicy::allowLocalWrites the slice
  * additionally traces through the region's stack stores.
  */
-Recoverability classifyRecoverability(const FailureSite &site,
-                                      const Region &region,
-                                      const analysis::ControlDeps &cdeps,
-                                      const RegionPolicy &policy = {});
+Recoverability
+classifyRecoverability(const FailureSite &site, const Region &region,
+                       const analysis::FunctionAnalysis &fa,
+                       const RegionPolicy &policy = {});
 
 /**
  * The §4.2 condition evaluated against an arbitrary slice/region pair;

@@ -1,5 +1,7 @@
 #include "conair/regions.h"
 
+#include <algorithm>
+
 #include "analysis/memory_class.h"
 #include "support/diag.h"
 
@@ -49,76 +51,83 @@ destroysIdempotency(const Instruction *inst, const RegionPolicy &policy)
     }
 }
 
+bool
+Region::contains(const Instruction *inst) const
+{
+    return std::binary_search(
+        insts.begin(), insts.end(), inst,
+        [](const Instruction *a, const Instruction *b) {
+            return a->id() < b->id();
+        });
+}
+
 namespace {
 
 /**
  * Backward DFS per §3.2.2, shared by the intra-procedural and
- * caller-side analyses.  @p start_block / @p start_before identify the
- * statement the walk begins at (exclusive).
+ * caller-side analyses.  The walk begins at the statement before
+ * @p start (exclusive) and moves over instruction ids: within a block
+ * the previous statement is the previous id, across blocks it is the
+ * last id of each predecessor.
  */
 Region
-walkBackward(BasicBlock *start_block, Instruction *start_before,
+walkBackward(const ir::Cfg &cfg, const Instruction *start,
              const RegionPolicy &policy)
 {
     Region region;
-    Function *fn = start_block->parent();
-    auto preds_list = fn->predecessorList();
-    auto preds_of =
-        [&](const BasicBlock *bb) -> const std::vector<BasicBlock *> & {
-        for (auto &[block, p] : preds_list)
-            if (block == bb)
-                return p;
-        fatal("walkBackward: block not in function");
-    };
-
-    std::unordered_set<const Instruction *> visited;
-    std::unordered_set<Position, PositionHash> points;
+    std::vector<uint8_t> visited(cfg.numInsts(), 0);
+    std::vector<uint32_t> work;
     bool clean_everywhere = true;
+    bool entry_point = false;
 
-    // Work items are instructions still to be examined.
-    std::vector<Instruction *> work;
-
-    // Seeds the walk with the statement(s) immediately preceding a
-    // program point; records the entry point when there is none.
-    auto push_before = [&](BasicBlock *bb, Instruction *inst) {
-        Instruction *prev =
-            inst ? bb->prev(inst) : (bb->empty() ? nullptr : bb->back());
-        if (prev) {
-            work.push_back(prev);
+    // Queues the statement(s) immediately preceding instruction @p id;
+    // records the entry point when there is none.
+    auto push_before = [&](uint32_t id) {
+        uint32_t b = cfg.inst(id)->parent()->id();
+        if (id > cfg.firstInst(b)) {
+            work.push_back(id - 1);
             return;
         }
-        const auto &preds = preds_of(bb);
+        std::span<const uint32_t> preds = cfg.preds(b);
         if (preds.empty()) {
             // Start of the entry block: a reexecution point by rule (2).
-            points.insert(Position{fn->entry(), nullptr});
+            if (!entry_point)
+                region.points.push_back(
+                    Position{cfg.function().entry(), nullptr});
+            entry_point = true;
             region.reachesEntry = true;
             return;
         }
-        for (BasicBlock *p : preds) {
-            if (p->empty())
+        for (uint32_t p : preds) {
+            if (cfg.firstInst(p) == cfg.endInst(p))
                 fatal("walkBackward: empty predecessor block");
-            work.push_back(p->back());
+            work.push_back(cfg.endInst(p) - 1);
         }
     };
 
-    push_before(start_block, start_before);
+    push_before(cfg.id(start));
 
     while (!work.empty()) {
-        Instruction *inst = work.back();
+        uint32_t id = work.back();
         work.pop_back();
-        if (!visited.insert(inst).second)
+        if (visited[id])
             continue;
+        visited[id] = 1;
+        Instruction *inst = cfg.inst(id);
         if (destroysIdempotency(inst, policy)) {
             // Rule (1): reexecution point right after this instruction.
-            points.insert(Position{inst->parent(), inst});
+            region.points.push_back(Position{inst->parent(), inst});
             clean_everywhere = false;
             continue;
         }
-        region.insts.insert(inst);
-        push_before(inst->parent(), inst);
+        region.insts.push_back(inst);
+        push_before(id);
     }
 
-    region.points.assign(points.begin(), points.end());
+    std::sort(region.insts.begin(), region.insts.end(),
+              [](const Instruction *a, const Instruction *b) {
+                  return a->id() < b->id();
+              });
     region.cleanToEntry = region.reachesEntry && clean_everywhere;
     return region;
 }
@@ -126,17 +135,17 @@ walkBackward(BasicBlock *start_block, Instruction *start_before,
 } // namespace
 
 Region
-computeRegion(const Instruction *site, const RegionPolicy &policy)
+computeRegion(const ir::Cfg &cfg, const Instruction *site,
+              const RegionPolicy &policy)
 {
-    Instruction *mutable_site = const_cast<Instruction *>(site);
-    return walkBackward(mutable_site->parent(), mutable_site, policy);
+    return walkBackward(cfg, site, policy);
 }
 
 Region
-computeCallerRegion(const Instruction *call, const RegionPolicy &policy)
+computeCallerRegion(const ir::Cfg &cfg, const Instruction *call,
+                    const RegionPolicy &policy)
 {
-    Instruction *mutable_call = const_cast<Instruction *>(call);
-    return walkBackward(mutable_call->parent(), mutable_call, policy);
+    return walkBackward(cfg, call, policy);
 }
 
 } // namespace conair::ca

@@ -10,11 +10,10 @@
  */
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "conair/failure_sites.h"
-#include "ir/function.h"
+#include "ir/cfg.h"
 
 namespace conair::ca {
 
@@ -30,16 +29,6 @@ struct Position
 
     bool isFunctionEntry() const { return after == nullptr; }
     bool operator==(const Position &o) const = default;
-};
-
-struct PositionHash
-{
-    size_t
-    operator()(const Position &p) const
-    {
-        return std::hash<const void *>()(p.block) * 1000003u ^
-               std::hash<const void *>()(p.after);
-    }
 };
 
 /**
@@ -71,11 +60,13 @@ bool destroysIdempotency(const ir::Instruction *inst,
 /** The reexecution region of one failure site. */
 struct Region
 {
-    /** All reexecution points guarding the site. */
+    /** All reexecution points guarding the site, in the order the
+     *  walk found them. */
     std::vector<Position> points;
 
-    /** Instructions inside the region (between points and site). */
-    std::unordered_set<const ir::Instruction *> insts;
+    /** Instructions inside the region (between points and site), in
+     *  program order. */
+    std::vector<const ir::Instruction *> insts;
 
     /** Some backward path reached the function entry. */
     bool reachesEntry = false;
@@ -85,21 +76,26 @@ struct Region
      * instruction — §4.3 condition (1) for inter-procedural recovery.
      */
     bool cleanToEntry = false;
+
+    /** Membership by id; valid while the function's numbering is. */
+    bool contains(const ir::Instruction *inst) const;
 };
 
 /**
- * Computes the reexecution region ending at @p site (§3.2.2).  The
- * search is linear in the size of the containing function.
+ * Computes the reexecution region ending at @p site (§3.2.2); @p cfg is
+ * the snapshot of the site's function.  The search is linear in the
+ * size of that function.
  */
-Region computeRegion(const ir::Instruction *site,
+Region computeRegion(const ir::Cfg &cfg, const ir::Instruction *site,
                      const RegionPolicy &policy);
 
 /**
  * Computes a region ending just before call instruction @p call in a
- * caller function — used by inter-procedural recovery (§4.3), where the
- * reexecution point moves into the caller of the failing function.
+ * caller function (snapshot @p cfg) — used by inter-procedural recovery
+ * (§4.3), where the reexecution point moves into the caller of the
+ * failing function.
  */
-Region computeCallerRegion(const ir::Instruction *call,
+Region computeCallerRegion(const ir::Cfg &cfg, const ir::Instruction *call,
                            const RegionPolicy &policy);
 
 } // namespace conair::ca

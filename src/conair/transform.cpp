@@ -1,6 +1,7 @@
 #include "conair/transform.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <memory>
 
 #include "analysis/cfg_utils.h"
 #include "analysis/slicing.h"
@@ -101,20 +102,49 @@ class Transformer
         }
     }
 
-    /** True when @p target is reachable from @p from in the CFG. */
+    /**
+     * Control dependences of @p fn.  Built after renumbering, and kept
+     * until a transform edits @p fn's CFG (cfgEdited): inserting
+     * non-terminator instructions leaves them and the block ids valid.
+     */
+    const analysis::ControlDeps &
+    controlDeps(Function *fn)
+    {
+        for (const auto &[f, cd] : cdeps_)
+            if (f == fn)
+                return *cd;
+        fn->renumber();
+        cdeps_.push_back(
+            {fn, std::make_unique<analysis::ControlDeps>(ir::Cfg(*fn))});
+        return *cdeps_.back().second;
+    }
+
+    /** Drops @p fn's control dependences after a block split. */
+    void
+    cfgEdited(Function *fn)
+    {
+        std::erase_if(cdeps_, [&](const auto &e) { return e.first == fn; });
+    }
+
+    /** True when @p target is reachable from @p from in the CFG.  The
+     *  block ids are those controlDeps() numbered. */
     static bool
     reaches(BasicBlock *from, BasicBlock *target)
     {
-        std::unordered_set<BasicBlock *> seen{from};
+        std::vector<char> seen(from->parent()->numBlocks(), 0);
         std::vector<BasicBlock *> work{from};
+        seen[from->id()] = 1;
         while (!work.empty()) {
             BasicBlock *bb = work.back();
             work.pop_back();
             if (bb == target)
                 return true;
-            for (BasicBlock *s : bb->successors())
-                if (seen.insert(s).second)
+            for (BasicBlock *s : bb->successors()) {
+                if (!seen[s->id()]) {
+                    seen[s->id()] = 1;
                     work.push_back(s);
+                }
+            }
         }
         return false;
     }
@@ -130,30 +160,39 @@ class Transformer
     insertRecoveredMarkers(Instruction *site, ir::Value *id)
     {
         BasicBlock *fail_bb = site->parent();
-        Function *fn = fail_bb->parent();
-        analysis::ControlDeps cdeps(*fn);
+        const analysis::ControlDeps &cdeps =
+            controlDeps(fail_bb->parent());
 
         // Iterated control dependence: every branch that (transitively)
-        // decides whether the failing block runs.
-        std::unordered_set<const Instruction *> terms;
+        // decides whether the failing block runs, in discovery order.
+        std::vector<const Instruction *> terms;
+        std::vector<char> seen(fail_bb->parent()->numBlocks(), 0);
         std::vector<const BasicBlock *> work{fail_bb};
-        std::unordered_set<const BasicBlock *> seen{fail_bb};
+        seen[fail_bb->id()] = 1;
         while (!work.empty()) {
             const BasicBlock *bb = work.back();
             work.pop_back();
             for (const Instruction *term : cdeps.of(bb)) {
-                if (terms.insert(term).second &&
-                    seen.insert(term->parent()).second)
+                if (std::find(terms.begin(), terms.end(), term) !=
+                    terms.end())
+                    continue;
+                terms.push_back(term);
+                if (!seen[term->parent()->id()]) {
+                    seen[term->parent()->id()] = 1;
                     work.push_back(term->parent());
+                }
             }
         }
 
-        std::unordered_set<BasicBlock *> marked;
+        std::vector<BasicBlock *> marked;
         for (const Instruction *term : terms) {
             for (unsigned i = 0; i < term->numBlockOps(); ++i) {
                 BasicBlock *succ = term->blockOp(i);
-                if (succ == fail_bb || !marked.insert(succ).second)
+                if (succ == fail_bb ||
+                    std::find(marked.begin(), marked.end(), succ) !=
+                        marked.end())
                     continue;
+                marked.push_back(succ);
                 if (reaches(succ, fail_bb))
                     continue;
                 insertAfterPhis(succ,
@@ -194,6 +233,7 @@ class Transformer
         BasicBlock *tail =
             analysis::splitBlockBefore(site, "ca.deref");
         Function *fn = head->parent();
+        cfgEdited(fn);
 
         auto check = makeBuiltinCall(Builtin::CaPtrCheck, {addr},
                                      site->tag());
@@ -237,6 +277,7 @@ class Transformer
         Function *fn = head->parent();
 
         BasicBlock *tail = analysis::splitBlockAfter(site, "ca.locked");
+        cfgEdited(fn);
         BasicBlock *ok_bb = fn->insertBlockAfter(head, "ca.lock.ok");
         BasicBlock *fail_bb =
             fn->insertBlockAfter(ok_bb, "ca.lock.fail");
@@ -331,6 +372,9 @@ class Transformer
     Module &m_;
     const TransformPlan &plan_;
     TransformStats stats_;
+    std::vector<std::pair<Function *,
+                          std::unique_ptr<analysis::ControlDeps>>>
+        cdeps_;
 };
 
 } // namespace

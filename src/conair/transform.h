@@ -17,7 +17,6 @@
  */
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "conair/failure_sites.h"

@@ -162,7 +162,7 @@ applyWaitForValue(Module &m, const EpisodeReport &ep, FixPlan &plan)
             accessesOf(f, g, /*loadsOnly=*/true);
         if (loads.empty())
             continue;
-        analysis::DomTree dom(f);
+        analysis::DomTree dom(ir::Cfg(f), /*post=*/false);
         for (Instruction *load : loads) {
             bool dominated = false;
             for (Instruction *other : loads) {
@@ -592,6 +592,7 @@ synthesizeFix(const Module &original,
     }
     if (!applied)
         return plan;
+    patched->renumber(); // the strategies split blocks and add code
 
     if (audit &&
         !auditLockDiscipline(

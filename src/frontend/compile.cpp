@@ -21,9 +21,12 @@ compileMiniC(const std::string &source, DiagEngine &diags,
     if (!module)
         return nullptr;
 
-    analysis::removeUnreachableBlocks(*module);
+    // Both leave every function numbered for the analyses (ir/cfg.h);
+    // promotion removes the unreachable blocks itself.
     if (opts.promoteToSSA)
         analysis::promoteModuleToSSA(*module);
+    else
+        analysis::removeUnreachableBlocks(*module);
 
     if (opts.verify) {
         DiagEngine verify_diags;

@@ -34,6 +34,10 @@ class BasicBlock
     void setName(std::string n) { name_ = std::move(n); }
     Function *parent() const { return parent_; }
 
+    /** Position in the function's block list, as of the last
+     *  Function::renumber() (kNoId before it); see ir/cfg.h. */
+    uint32_t id() const { return id_; }
+
     InstList &insts() { return insts_; }
     const InstList &insts() const { return insts_; }
     bool empty() const { return insts_.empty(); }
@@ -67,8 +71,9 @@ class BasicBlock
 
     bool hasTerminator() const { return terminator() != nullptr; }
 
-    /** Successor blocks per the terminator (empty for Ret/Unreachable). */
-    std::vector<BasicBlock *> successors() const;
+    /** Successor blocks per the terminator (empty for Ret/Unreachable
+     *  and while the block has no terminator). */
+    std::span<BasicBlock *const> successors() const;
 
     /** Iterator pointing at @p inst; fatal() if absent. */
     iterator find(Instruction *inst);
@@ -80,8 +85,11 @@ class BasicBlock
     Instruction *prev(Instruction *inst);
 
   private:
+    friend class Function; // renumber() writes id_
+
     std::string name_;
     Function *parent_;
+    uint32_t id_ = kNoId;
     InstList insts_;
 };
 

@@ -1,8 +1,25 @@
 #include "ir/builder.h"
 
+#include <initializer_list>
+
 #include "support/diag.h"
 
 namespace conair::ir {
+
+namespace {
+
+/** A fresh instruction whose operand vector is sized up front. */
+std::unique_ptr<Instruction>
+make(Opcode op, Type t, std::initializer_list<Value *> ops)
+{
+    auto inst = std::make_unique<Instruction>(op, t);
+    inst->reserveOperands(ops.size());
+    for (Value *v : ops)
+        inst->addOperand(v);
+    return inst;
+}
+
+} // namespace
 
 Instruction *
 IRBuilder::emit(std::unique_ptr<Instruction> inst)
@@ -26,27 +43,19 @@ IRBuilder::alloca_(int64_t cells)
 Instruction *
 IRBuilder::load(Type t, Value *ptr)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::Load, t);
-    inst->addOperand(ptr);
-    return emit(std::move(inst));
+    return emit(make(Opcode::Load, t, {ptr}));
 }
 
 Instruction *
 IRBuilder::store(Value *v, Value *ptr)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::Store, Type::Void);
-    inst->addOperand(v);
-    inst->addOperand(ptr);
-    return emit(std::move(inst));
+    return emit(make(Opcode::Store, Type::Void, {v, ptr}));
 }
 
 Instruction *
 IRBuilder::ptrAdd(Value *ptr, Value *offset)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::PtrAdd, Type::Ptr);
-    inst->addOperand(ptr);
-    inst->addOperand(offset);
-    return emit(std::move(inst));
+    return emit(make(Opcode::PtrAdd, Type::Ptr, {ptr, offset}));
 }
 
 Instruction *
@@ -54,43 +63,31 @@ IRBuilder::binop(Opcode op, Value *lhs, Value *rhs)
 {
     Type t = (op >= Opcode::FAdd && op <= Opcode::FDiv) ? Type::F64
                                                         : Type::I64;
-    auto inst = std::make_unique<Instruction>(op, t);
-    inst->addOperand(lhs);
-    inst->addOperand(rhs);
-    return emit(std::move(inst));
+    return emit(make(op, t, {lhs, rhs}));
 }
 
 Instruction *
 IRBuilder::cmp(Opcode op, Value *lhs, Value *rhs)
 {
-    auto inst = std::make_unique<Instruction>(op, Type::I1);
-    inst->addOperand(lhs);
-    inst->addOperand(rhs);
-    return emit(std::move(inst));
+    return emit(make(op, Type::I1, {lhs, rhs}));
 }
 
 Instruction *
 IRBuilder::siToFp(Value *v)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::SiToFp, Type::F64);
-    inst->addOperand(v);
-    return emit(std::move(inst));
+    return emit(make(Opcode::SiToFp, Type::F64, {v}));
 }
 
 Instruction *
 IRBuilder::fpToSi(Value *v)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::FpToSi, Type::I64);
-    inst->addOperand(v);
-    return emit(std::move(inst));
+    return emit(make(Opcode::FpToSi, Type::I64, {v}));
 }
 
 Instruction *
 IRBuilder::zext(Value *v)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::Zext, Type::I64);
-    inst->addOperand(v);
-    return emit(std::move(inst));
+    return emit(make(Opcode::Zext, Type::I64, {v}));
 }
 
 Instruction *
@@ -104,8 +101,7 @@ IRBuilder::br(BasicBlock *target)
 Instruction *
 IRBuilder::condBr(Value *cond, BasicBlock *t, BasicBlock *f)
 {
-    auto inst = std::make_unique<Instruction>(Opcode::CondBr, Type::Void);
-    inst->addOperand(cond);
+    auto inst = make(Opcode::CondBr, Type::Void, {cond});
     inst->addBlockOp(t);
     inst->addBlockOp(f);
     return emit(std::move(inst));
@@ -139,6 +135,7 @@ IRBuilder::call(Function *callee, const std::vector<Value *> &args)
     auto inst =
         std::make_unique<Instruction>(Opcode::Call, callee->returnType());
     inst->setCallee(callee);
+    inst->reserveOperands(args.size());
     for (Value *a : args)
         inst->addOperand(a);
     return emit(std::move(inst));
@@ -150,6 +147,7 @@ IRBuilder::callBuiltin(Builtin b, const std::vector<Value *> &args)
     auto inst =
         std::make_unique<Instruction>(Opcode::Call, builtinResultType(b));
     inst->setBuiltin(b);
+    inst->reserveOperands(args.size());
     for (Value *a : args)
         inst->addOperand(a);
     return emit(std::move(inst));

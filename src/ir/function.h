@@ -52,9 +52,13 @@ class Function
     size_t numBlocks() const { return blocks_.size(); }
     /// @}
 
-    /** Predecessor map, recomputed on each call (CFG may have changed). */
-    std::vector<std::pair<BasicBlock *, std::vector<BasicBlock *>>>
-    predecessorList() const;
+    /**
+     * Numbers the blocks (list order) and the instructions (program
+     * order) densely from 0.  Every pass that edits the function
+     * calls it before handing the function on; ir::Cfg, which the
+     * analyses read, refuses a function whose numbering is stale.
+     */
+    void renumber();
 
     /** Makes a block label unique within this function. */
     std::string freshBlockName(const std::string &base);

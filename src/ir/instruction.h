@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,11 +84,16 @@ class Instruction : public Value
     BasicBlock *parent() const { return parent_; }
     void setParent(BasicBlock *bb) { parent_ = bb; }
 
+    /** Position in the function's program order, as of the last
+     *  Function::renumber() (kNoId before it); see ir/cfg.h. */
+    uint32_t id() const { return id_; }
+
     /// @{ Operand access.
     unsigned numOperands() const { return operands_.size(); }
     Value *operand(unsigned i) const { return operands_[i]; }
     void setOperand(unsigned i, Value *v);
     void addOperand(Value *v);
+    void reserveOperands(unsigned n) { operands_.reserve(n); }
     void dropAllOperands();
     /// @}
 
@@ -137,11 +143,15 @@ class Instruction : public Value
         return type() != Type::Void;
     }
 
-    /** Successor blocks when this is a terminator. */
-    std::vector<BasicBlock *> successors() const;
+    /** Successor blocks when this is a terminator: a view of the
+     *  branch targets, valid until the block operands change. */
+    std::span<BasicBlock *const> successors() const;
 
   private:
+    friend class Function; // renumber() writes id_
+
     Opcode op_;
+    uint32_t id_ = kNoId;
     std::vector<Value *> operands_;
     BasicBlock *parent_ = nullptr;
 

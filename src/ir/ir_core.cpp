@@ -263,8 +263,9 @@ Instruction::setOperand(unsigned i, Value *v)
 void
 Instruction::addOperand(Value *v)
 {
-    operands_.push_back(nullptr);
-    setOperand(operands_.size() - 1, v);
+    operands_.push_back(v);
+    if (v)
+        v->addUse(this, operands_.size() - 1);
 }
 
 void
@@ -322,17 +323,11 @@ Instruction::isTerminator() const
     }
 }
 
-std::vector<BasicBlock *>
+std::span<BasicBlock *const>
 Instruction::successors() const
 {
-    switch (op_) {
-      case Opcode::Br:
-        return {blockOps_[0]};
-      case Opcode::CondBr:
-        return {blockOps_[0], blockOps_[1]};
-      default:
-        return {};
-    }
+    size_t n = op_ == Opcode::Br ? 1 : op_ == Opcode::CondBr ? 2 : 0;
+    return {blockOps_.data(), std::min(n, blockOps_.size())};
 }
 
 //
@@ -401,11 +396,11 @@ BasicBlock::terminator() const
     return last->isTerminator() ? last : nullptr;
 }
 
-std::vector<BasicBlock *>
+std::span<BasicBlock *const>
 BasicBlock::successors() const
 {
     Instruction *term = terminator();
-    return term ? term->successors() : std::vector<BasicBlock *>{};
+    return term ? term->successors() : std::span<BasicBlock *const>{};
 }
 
 Instruction *
@@ -470,22 +465,15 @@ Function::entry() const
     return blocks_.empty() ? nullptr : blocks_.front().get();
 }
 
-std::vector<std::pair<BasicBlock *, std::vector<BasicBlock *>>>
-Function::predecessorList() const
+void
+Function::renumber()
 {
-    std::vector<std::pair<BasicBlock *, std::vector<BasicBlock *>>> out;
-    for (const auto &bb : blocks_)
-        out.push_back({bb.get(), {}});
-    auto slot = [&](BasicBlock *bb) -> std::vector<BasicBlock *> & {
-        for (auto &entry : out)
-            if (entry.first == bb)
-                return entry.second;
-        fatal("predecessorList: successor not in function");
-    };
-    for (const auto &bb : blocks_)
-        for (BasicBlock *succ : bb->successors())
-            slot(succ).push_back(bb.get());
-    return out;
+    uint32_t b = 0, i = 0;
+    for (auto &bb : blocks_) {
+        bb->id_ = b++;
+        for (auto &inst : bb->insts())
+            inst->id_ = i++;
+    }
 }
 
 std::string
@@ -527,6 +515,13 @@ Function::instructionCount() const
 //
 // Module
 //
+
+void
+Module::renumber()
+{
+    for (auto &f : functions_)
+        f->renumber();
+}
 
 Global *
 Module::addGlobal(std::string name, Type elem_type, int64_t size,

@@ -77,6 +77,9 @@ class Module
     /// @{ Functions.
     Function *addFunction(std::string name, Type ret_type);
     Function *findFunction(const std::string &name) const;
+    /** Function::renumber() on every function. */
+    void renumber();
+
     const std::vector<std::unique_ptr<Function>> &functions() const
     {
         return functions_;

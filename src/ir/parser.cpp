@@ -811,7 +811,10 @@ parseModule(const std::string &text, DiagEngine &diags)
     if (diags.hasErrors())
         return nullptr;
     Parser parser(std::move(toks), diags);
-    return parser.run();
+    std::unique_ptr<Module> module = parser.run();
+    if (module)
+        module->renumber();
+    return module;
 }
 
 } // namespace conair::ir

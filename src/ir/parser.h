@@ -14,8 +14,8 @@
 namespace conair::ir {
 
 /**
- * Parses @p text into a fresh module.  Returns nullptr and fills
- * @p diags on error.
+ * Parses @p text into a fresh, numbered module (Function::renumber()).
+ * Returns nullptr and fills @p diags on error.
  */
 std::unique_ptr<Module> parseModule(const std::string &text,
                                     DiagEngine &diags);

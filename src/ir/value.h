@@ -18,6 +18,10 @@ class Instruction;
 class Function;
 class Global;
 
+/** The id of a block or instruction that Function::renumber() has not
+ *  numbered yet (see ir/cfg.h). */
+inline constexpr uint32_t kNoId = ~0u;
+
 /** Discriminates the concrete Value subclass. */
 enum class ValueKind : uint8_t {
     ConstInt,

@@ -1,8 +1,9 @@
 #include "ir/verifier.h"
 
-#include <set>
+#include <optional>
 #include <unordered_set>
 
+#include "ir/cfg.h"
 #include "ir/printer.h"
 #include "support/str.h"
 
@@ -40,26 +41,37 @@ class Verifier
             error(nullptr, "function @" + f.name() + " has no blocks");
             return ok_;
         }
-        // Collect all values defined in this function for scope checks.
-        defined_.clear();
-        for (unsigned i = 0; i < f.numArgs(); ++i)
-            defined_.insert(f.arg(i));
-        for (const auto &bb : f.blocks())
+        // The numbering must be current: ir::Cfg and every analysis
+        // index by it.
+        blocks_.clear();
+        uint32_t num_insts = 0;
+        bool fresh = true;
+        for (const auto &bb : f.blocks()) {
+            fresh &= bb->id() == blocks_.size();
+            blocks_.push_back(bb.get());
             for (const auto &inst : bb->insts())
-                if (inst->producesValue())
-                    defined_.insert(inst.get());
+                fresh &= inst->id() == num_insts++;
+        }
+        if (!fresh) {
+            error(nullptr, "function @" + f.name() +
+                               " has a stale block/instruction numbering "
+                               "(Function::renumber() missing after an "
+                               "edit)");
+            return ok_;
+        }
 
-        auto preds = f.predecessorList();
-        auto preds_of = [&](const BasicBlock *bb) {
-            for (auto &[block, p] : preds)
-                if (block == bb)
-                    return p;
-            return std::vector<BasicBlock *>{};
-        };
-
-        std::unordered_set<const BasicBlock *> blocks;
+        // Predecessors come from the CFG snapshot, which needs every
+        // branch target to be a block of this function.
+        bool targets_ok = true;
         for (const auto &bb : f.blocks())
-            blocks.insert(bb.get());
+            for (const BasicBlock *s : bb->successors())
+                targets_ok &= ownBlock(s);
+        std::optional<Cfg> cfg;
+        if (targets_ok)
+            cfg.emplace(f);
+        predMark_.assign(blocks_.size(), 0);
+        inMark_.assign(blocks_.size(), 0);
+        epoch_ = 0;
 
         for (const auto &bb : f.blocks()) {
             if (bb->empty()) {
@@ -69,6 +81,9 @@ class Verifier
             if (!bb->terminator())
                 error(bb->back(), "block " + bb->name() +
                                       " does not end in a terminator");
+            std::span<const uint32_t> preds;
+            if (cfg)
+                preds = cfg->preds(bb->id());
             bool seen_non_phi = false;
             for (const auto &inst : bb->insts()) {
                 if (inst->parent() != bb.get())
@@ -81,7 +96,7 @@ class Verifier
                 } else {
                     seen_non_phi = true;
                 }
-                checkInst(*inst, preds_of(bb.get()), blocks);
+                checkInst(*inst, preds, cfg.has_value());
             }
         }
         return ok_;
@@ -121,10 +136,29 @@ class Verifier
                                 inst.numOperands()));
     }
 
+    /** True when @p bb is a block of the function being verified. */
+    bool
+    ownBlock(const BasicBlock *bb) const
+    {
+        return bb && bb->id() < blocks_.size() && blocks_[bb->id()] == bb;
+    }
+
+    /** True when @p v may be an operand here: a value-producing
+     *  instruction or an argument of this function, or a constant. */
+    bool
+    definedHere(const Value *v) const
+    {
+        if (v->kind() == ValueKind::Argument)
+            return static_cast<const Argument *>(v)->parent() == func_;
+        if (v->kind() != ValueKind::Instruction)
+            return true;
+        auto *def = static_cast<const Instruction *>(v);
+        return def->producesValue() && ownBlock(def->parent());
+    }
+
     void
-    checkInst(const Instruction &inst,
-              const std::vector<BasicBlock *> &preds,
-              const std::unordered_set<const BasicBlock *> &blocks)
+    checkInst(const Instruction &inst, std::span<const uint32_t> preds,
+              bool have_preds)
     {
         // Scope check: instruction/argument operands must be defined in
         // this function (full dominance is checked at the analysis layer).
@@ -134,15 +168,13 @@ class Verifier
                 error(&inst, strfmt("null operand %u", i));
                 continue;
             }
-            if ((v->kind() == ValueKind::Instruction ||
-                 v->kind() == ValueKind::Argument) &&
-                !defined_.count(v)) {
+            if (!definedHere(v)) {
                 error(&inst, strfmt("operand %u defined outside function",
                                     i));
             }
         }
         for (unsigned i = 0; i < inst.numBlockOps(); ++i) {
-            if (!inst.blockOp(i) || !blocks.count(inst.blockOp(i)))
+            if (!ownBlock(inst.blockOp(i)))
                 error(&inst, "branch/phi references foreign block");
         }
 
@@ -224,13 +256,36 @@ class Verifier
           case Opcode::Phi: {
             if (inst.numOperands() != inst.numBlockOps())
                 error(&inst, "phi operand/block count mismatch");
-            // Incoming blocks must exactly match the predecessors.
-            std::set<const BasicBlock *> incoming;
-            for (unsigned i = 0; i < inst.numBlockOps(); ++i)
-                if (!incoming.insert(inst.blockOp(i)).second)
+            // Incoming blocks must exactly match the predecessors, as
+            // sets: each block is marked with this phi's epoch.
+            ++epoch_;
+            unsigned distinct_preds = 0;
+            for (uint32_t p : preds) {
+                if (predMark_[p] != epoch_) {
+                    predMark_[p] = epoch_;
+                    ++distinct_preds;
+                }
+            }
+            bool match = true;
+            unsigned distinct_incoming = 0;
+            for (unsigned i = 0; i < inst.numBlockOps(); ++i) {
+                const BasicBlock *in = inst.blockOp(i);
+                if (!ownBlock(in)) {
+                    match = false;
+                    continue;
+                }
+                if (inMark_[in->id()] == epoch_) {
                     error(&inst, "duplicate phi incoming block");
-            std::set<const BasicBlock *> expect(preds.begin(), preds.end());
-            if (incoming != expect)
+                    continue;
+                }
+                inMark_[in->id()] = epoch_;
+                ++distinct_incoming;
+                match &= predMark_[in->id()] == epoch_;
+            }
+            // Without predecessors (a branch leaves the function, which
+            // is reported above) there is nothing to compare against.
+            if (have_preds &&
+                (!match || distinct_incoming != distinct_preds))
                 error(&inst, "phi incoming blocks do not match "
                              "predecessors");
             for (unsigned i = 0; i < inst.numOperands(); ++i) {
@@ -354,7 +409,9 @@ class Verifier
     const Module &m_;
     DiagEngine &diags_;
     const Function *func_ = nullptr;
-    std::unordered_set<const Value *> defined_;
+    std::vector<const BasicBlock *> blocks_; ///< by block id
+    std::vector<uint32_t> predMark_, inMark_; ///< phi check, by block id
+    uint32_t epoch_ = 0;
     bool ok_ = true;
 };
 

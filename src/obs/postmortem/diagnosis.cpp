@@ -271,11 +271,9 @@ sliceCandidates(const ir::Instruction *siteInst, ca::FailureKind kind,
     // computation only reads it.
     ca::FailureSite site{const_cast<ir::Instruction *>(siteInst), kind,
                          0, hasOracle};
-    analysis::ControlDeps cdeps(*fn);
-    std::vector<const ir::Value *> seeds =
-        ca::failureConditionSeeds(site, cdeps);
-    analysis::SliceResult slice =
-        analysis::backwardSlice(*fn, seeds, cdeps);
+    analysis::FunctionAnalysis fa(*fn);
+    analysis::SliceResult slice = analysis::backwardSlice(
+        fa, ca::failureConditionSeeds(site, fa.cdeps));
     *interproc = !slice.args.empty();
 
     for (const ir::Instruction *inst : slice.insts) {

@@ -46,7 +46,8 @@ TEST(DomTree, DiamondDominators)
 {
     auto m = parse(diamond);
     Function *f = m->findFunction("f");
-    DomTree dt(*f);
+    ir::Cfg cfg(*f);
+    DomTree dt(cfg);
     BasicBlock *entry = block(f, "entry");
     BasicBlock *left = block(f, "left");
     BasicBlock *right = block(f, "right");
@@ -65,7 +66,8 @@ TEST(DomTree, DiamondFrontiers)
 {
     auto m = parse(diamond);
     Function *f = m->findFunction("f");
-    DomTree dt(*f);
+    ir::Cfg cfg(*f);
+    DomTree dt(cfg);
     BasicBlock *left = block(f, "left");
     BasicBlock *right = block(f, "right");
     BasicBlock *join = block(f, "join");
@@ -81,7 +83,8 @@ TEST(DomTree, DiamondPostDominators)
 {
     auto m = parse(diamond);
     Function *f = m->findFunction("f");
-    DomTree pdt(*f, /*post=*/true);
+    ir::Cfg cfg(*f);
+    DomTree pdt(cfg, /*post=*/true);
     BasicBlock *entry = block(f, "entry");
     BasicBlock *left = block(f, "left");
     BasicBlock *join = block(f, "join");
@@ -111,7 +114,8 @@ done:
 }
 )");
     Function *f = m->findFunction("loop");
-    DomTree dt(*f);
+    ir::Cfg cfg(*f);
+    DomTree dt(cfg);
     BasicBlock *head = block(f, "head");
     BasicBlock *body = block(f, "body");
     BasicBlock *done = block(f, "done");
@@ -131,7 +135,8 @@ TEST(DomTree, InstructionDominance)
 {
     auto m = parse(diamond);
     Function *f = m->findFunction("f");
-    DomTree dt(*f);
+    ir::Cfg cfg(*f);
+    DomTree dt(cfg);
     ir::Instruction *cmp = block(f, "entry")->front();
     ir::Instruction *phi = block(f, "join")->front();
     EXPECT_TRUE(dt.dominatesInst(cmp, phi));
@@ -146,7 +151,8 @@ TEST(DomTree, RpoStartsAtEntry)
 {
     auto m = parse(diamond);
     Function *f = m->findFunction("f");
-    DomTree dt(*f);
+    ir::Cfg cfg(*f);
+    DomTree dt(cfg);
     ASSERT_FALSE(dt.rpo().empty());
     EXPECT_EQ(dt.rpo().front(), f->entry());
     EXPECT_EQ(dt.rpo().size(), 4u);

@@ -53,9 +53,9 @@ fail:
     unreachable
 }
 )");
-    ControlDeps cd(*p.f);
+    FunctionAnalysis fa(*p.f);
     SliceResult slice =
-        backwardSlice(*p.f, {p.tagged("cond")}, cd);
+        backwardSlice(fa, {p.tagged("cond")});
     EXPECT_TRUE(slice.contains(p.tagged("cond")));
     EXPECT_TRUE(slice.contains(p.tagged("dep2")));
     EXPECT_TRUE(slice.contains(p.tagged("dep1")));
@@ -79,8 +79,8 @@ entry:
     ret %2
 }
 )");
-    ControlDeps cd(*p.f);
-    SliceResult slice = backwardSlice(*p.f, {p.tagged("use")}, cd);
+    FunctionAnalysis fa(*p.f);
+    SliceResult slice = backwardSlice(fa, {p.tagged("use")});
     EXPECT_TRUE(slice.contains(p.tagged("the_load")));
     EXPECT_FALSE(slice.contains(p.tagged("addr")));
     // %i feeds only the address, so it must not be on the slice either.
@@ -101,8 +101,8 @@ fail:
     ret 0
 }
 )");
-    ControlDeps cd(*p.f);
-    SliceResult slice = backwardSlice(*p.f, {p.tagged("check")}, cd);
+    FunctionAnalysis fa(*p.f);
+    SliceResult slice = backwardSlice(fa, {p.tagged("check")});
     ASSERT_EQ(slice.args.size(), 1u);
     EXPECT_EQ((*slice.args.begin())->name(), "thd");
 }
@@ -131,8 +131,8 @@ join:
     ret %5
 }
 )");
-    ControlDeps cd(*p.f);
-    SliceResult slice = backwardSlice(*p.f, {p.tagged("seed")}, cd);
+    FunctionAnalysis fa(*p.f);
+    SliceResult slice = backwardSlice(fa, {p.tagged("seed")});
     EXPECT_TRUE(slice.contains(p.tagged("branch_cond")));
     EXPECT_TRUE(slice.contains(p.tagged("mode_read")));
 }
@@ -152,7 +152,8 @@ join:
     ret 0
 }
 )");
-    ControlDeps cd(*p.f);
+    ir::Cfg cfg(*p.f);
+    ControlDeps cd(cfg);
     ir::BasicBlock *a = nullptr, *b = nullptr, *join = nullptr,
                    *entry = nullptr;
     for (auto &bb : p.f->blocks()) {
@@ -187,7 +188,8 @@ done:
     ret %0
 }
 )");
-    ControlDeps cd(*p.f);
+    ir::Cfg cfg(*p.f);
+    ControlDeps cd(cfg);
     ir::BasicBlock *head = nullptr, *body = nullptr;
     for (auto &bb : p.f->blocks()) {
         if (bb->name() == "head") head = bb.get();

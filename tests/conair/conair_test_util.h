@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "conair/driver.h"
+#include "conair/regions.h"
 #include "frontend/compile.h"
 #include "ir/parser.h"
 #include "vm/interp.h"
@@ -40,6 +41,14 @@ taggedInst(ir::Module &m, const std::string &tag)
                 if (inst->tag() == tag)
                     return inst.get();
     return nullptr;
+}
+
+/** The region ending at @p site, over a fresh snapshot of its
+ *  function. */
+inline Region
+regionAt(const ir::Instruction *site, const RegionPolicy &policy)
+{
+    return computeRegion(ir::Cfg(*site->parent()->parent()), site, policy);
 }
 
 inline const SiteReport *

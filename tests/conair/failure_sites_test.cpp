@@ -1,3 +1,5 @@
+#include <unordered_set>
+
 #include "tests/conair/conair_test_util.h"
 
 namespace conair::ca {

@@ -10,6 +10,7 @@ namespace {
 
 using testutil::parseIR;
 using testutil::siteByTag;
+using testutil::regionAt;
 using testutil::taggedInst;
 
 // GetState(thd) dereferences its parameter; Get() loads the shared
@@ -39,11 +40,12 @@ TEST(Interproc, PromotesParameterDerefIntoCaller)
     auto m = parseIR(mozilla_xp);
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Segfault, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     ASSERT_TRUE(region.cleanToEntry);
 
     analysis::CallGraph cg(*m);
-    InterprocDecision d = analyzeInterproc(site, region, cg,
+    analysis::ModuleAnalysis ma;
+    InterprocDecision d = analyzeInterproc(site, region, cg, ma,
                                            RegionPolicy{}, {});
     ASSERT_TRUE(d.promoted);
     ASSERT_EQ(d.callerPoints.size(), 1u);
@@ -77,9 +79,10 @@ entry:
 )");
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Segfault, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     analysis::CallGraph cg(*m);
-    InterprocDecision d = analyzeInterproc(site, region, cg,
+    analysis::ModuleAnalysis ma;
+    InterprocDecision d = analyzeInterproc(site, region, cg, ma,
                                            RegionPolicy{}, {});
     EXPECT_FALSE(d.promoted);
 }
@@ -105,10 +108,11 @@ entry:
 )");
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Segfault, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     EXPECT_FALSE(region.cleanToEntry);
     analysis::CallGraph cg(*m);
-    InterprocDecision d = analyzeInterproc(site, region, cg,
+    analysis::ModuleAnalysis ma;
+    InterprocDecision d = analyzeInterproc(site, region, cg, ma,
                                            RegionPolicy{}, {});
     EXPECT_FALSE(d.promoted);
 }
@@ -143,9 +147,10 @@ entry:
 )");
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Segfault, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     analysis::CallGraph cg(*m);
-    InterprocDecision d = analyzeInterproc(site, region, cg,
+    analysis::ModuleAnalysis ma;
+    InterprocDecision d = analyzeInterproc(site, region, cg, ma,
                                            RegionPolicy{}, {});
     ASSERT_TRUE(d.promoted);
     EXPECT_EQ(d.depthUsed, 2u);
@@ -185,19 +190,20 @@ entry:
 )");
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Segfault, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     analysis::CallGraph cg(*m);
+    analysis::ModuleAnalysis ma;
 
     InterprocOptions deep;
     deep.maxDepth = 3;
-    InterprocDecision d3 = analyzeInterproc(site, region, cg,
+    InterprocDecision d3 = analyzeInterproc(site, region, cg, ma,
                                             RegionPolicy{}, deep);
     EXPECT_TRUE(d3.promoted);
     EXPECT_EQ(d3.depthUsed, 3u);
 
     InterprocOptions shallow;
     shallow.maxDepth = 2;
-    InterprocDecision d2 = analyzeInterproc(site, region, cg,
+    InterprocDecision d2 = analyzeInterproc(site, region, cg, ma,
                                             RegionPolicy{}, shallow);
     EXPECT_FALSE(d2.promoted);
     EXPECT_TRUE(d2.gaveUp);
@@ -220,9 +226,10 @@ fail:
 )");
     ir::Instruction *site_inst = taggedInst(*m, "site");
     FailureSite site{site_inst, FailureKind::Assertion, 1, false};
-    Region region = computeRegion(site_inst, RegionPolicy{});
+    Region region = regionAt(site_inst, RegionPolicy{});
     analysis::CallGraph cg(*m);
-    InterprocDecision d = analyzeInterproc(site, region, cg,
+    analysis::ModuleAnalysis ma;
+    InterprocDecision d = analyzeInterproc(site, region, cg, ma,
                                            RegionPolicy{}, {});
     EXPECT_FALSE(d.promoted);
 }

@@ -17,6 +17,7 @@ using ir::Builtin;
 using testutil::compileC;
 using testutil::countBuiltinCalls;
 using testutil::parseIR;
+using testutil::regionAt;
 using testutil::taggedInst;
 
 TEST(LocalWrites, StackStoresStopBoundingRegions)
@@ -40,16 +41,16 @@ fail:
 }
 )");
     RegionPolicy base;
-    Region r1 = computeRegion(taggedInst(*m, "site"), base);
+    Region r1 = regionAt(taggedInst(*m, "site"), base);
     ASSERT_EQ(r1.points.size(), 1u);
     EXPECT_EQ(r1.points[0].after, taggedInst(*m, "local_store"));
 
     RegionPolicy locals;
     locals.allowLocalWrites = true;
-    Region r2 = computeRegion(taggedInst(*m, "site"), locals);
+    Region r2 = regionAt(taggedInst(*m, "site"), locals);
     ASSERT_EQ(r2.points.size(), 1u);
     EXPECT_TRUE(r2.points[0].isFunctionEntry());
-    EXPECT_TRUE(r2.insts.count(taggedInst(*m, "local_store")));
+    EXPECT_TRUE(r2.contains(taggedInst(*m, "local_store")));
 }
 
 TEST(LocalWrites, GlobalStoresStillBound)
@@ -72,7 +73,7 @@ fail:
 )");
     RegionPolicy locals;
     locals.allowLocalWrites = true;
-    Region r = computeRegion(taggedInst(*m, "site"), locals);
+    Region r = regionAt(taggedInst(*m, "site"), locals);
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "shared_store"));
 }
@@ -101,17 +102,17 @@ fail:
 )");
     ir::Instruction *site = taggedInst(*m, "site");
     FailureSite fs{site, FailureKind::WrongOutput, 1, true};
-    analysis::ControlDeps cdeps(*site->parent()->parent());
+    analysis::FunctionAnalysis fa(*site->parent()->parent());
 
     RegionPolicy base;
-    Region r1 = computeRegion(site, base);
-    EXPECT_EQ(classifyRecoverability(fs, r1, cdeps, base),
+    Region r1 = regionAt(site, base);
+    EXPECT_EQ(classifyRecoverability(fs, r1, fa, base),
               Recoverability::NoSharedReadOnSlice);
 
     RegionPolicy locals;
     locals.allowLocalWrites = true;
-    Region r2 = computeRegion(site, locals);
-    EXPECT_EQ(classifyRecoverability(fs, r2, cdeps, locals),
+    Region r2 = regionAt(site, locals);
+    EXPECT_EQ(classifyRecoverability(fs, r2, fa, locals),
               Recoverability::Recoverable);
 }
 

@@ -9,6 +9,7 @@ namespace conair::ca {
 namespace {
 
 using testutil::parseIR;
+using testutil::regionAt;
 using testutil::taggedInst;
 
 Recoverability
@@ -17,9 +18,9 @@ classifySite(ir::Module &m, const std::string &tag, FailureKind kind)
     ir::Instruction *inst = taggedInst(m, tag);
     EXPECT_NE(inst, nullptr);
     FailureSite site{inst, kind, 1, kind == FailureKind::WrongOutput};
-    Region region = computeRegion(inst, RegionPolicy{});
-    analysis::ControlDeps cdeps(*inst->parent()->parent());
-    return classifyRecoverability(site, region, cdeps);
+    Region region = regionAt(inst, RegionPolicy{});
+    analysis::FunctionAnalysis fa(*inst->parent()->parent());
+    return classifyRecoverability(site, region, fa);
 }
 
 TEST(Optimizer, Fig7aLockWithBareRegionIsUnrecoverable)

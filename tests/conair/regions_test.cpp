@@ -1,9 +1,12 @@
+#include <unordered_set>
+
 #include "tests/conair/conair_test_util.h"
 
 namespace conair::ca {
 namespace {
 
 using testutil::parseIR;
+using testutil::regionAt;
 using testutil::taggedInst;
 
 TEST(Regions, StoreBoundsTheRegion)
@@ -25,7 +28,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_FALSE(r.points[0].isFunctionEntry());
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "the_store"));
@@ -52,7 +55,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_TRUE(r.points[0].isFunctionEntry());
     EXPECT_TRUE(r.cleanToEntry);
@@ -86,7 +89,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     EXPECT_EQ(r.points.size(), 2u);
     std::unordered_set<const ir::Instruction *> afters;
     for (const Position &p : r.points) {
@@ -121,7 +124,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     EXPECT_EQ(r.points.size(), 2u); // after store + function entry
     EXPECT_TRUE(r.reachesEntry);
     EXPECT_FALSE(r.cleanToEntry); // one path is dirty
@@ -147,7 +150,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "the_call"));
 }
@@ -170,7 +173,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "io"));
 }
@@ -194,15 +197,15 @@ fail:
 }
 )");
     RegionPolicy with;
-    Region r1 = computeRegion(taggedInst(*m, "site"), with);
+    Region r1 = regionAt(taggedInst(*m, "site"), with);
     ASSERT_EQ(r1.points.size(), 1u);
     EXPECT_TRUE(r1.points[0].isFunctionEntry());
-    EXPECT_TRUE(r1.insts.count(taggedInst(*m, "alloc")));
-    EXPECT_TRUE(r1.insts.count(taggedInst(*m, "acq")));
+    EXPECT_TRUE(r1.contains(taggedInst(*m, "alloc")));
+    EXPECT_TRUE(r1.contains(taggedInst(*m, "acq")));
 
     RegionPolicy without;
     without.allowCompensableCalls = false;
-    Region r2 = computeRegion(taggedInst(*m, "site"), without);
+    Region r2 = regionAt(taggedInst(*m, "site"), without);
     ASSERT_EQ(r2.points.size(), 1u);
     EXPECT_EQ(r2.points[0].after, taggedInst(*m, "acq"));
 }
@@ -225,7 +228,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "rel"));
 }
@@ -258,7 +261,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_TRUE(r.points[0].isFunctionEntry());
     EXPECT_TRUE(r.cleanToEntry);
@@ -282,7 +285,7 @@ fail:
     unreachable
 }
 )");
-    Region r = computeRegion(taggedInst(*m, "site"), RegionPolicy{});
+    Region r = regionAt(taggedInst(*m, "site"), RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_TRUE(r.points[0].isFunctionEntry());
 }
@@ -306,8 +309,9 @@ entry:
     ret %1
 }
 )");
-    Region r =
-        computeCallerRegion(taggedInst(*m, "the_call"), RegionPolicy{});
+    ir::Instruction *call = taggedInst(*m, "the_call");
+    Region r = computeCallerRegion(ir::Cfg(*call->parent()->parent()), call,
+                                   RegionPolicy{});
     ASSERT_EQ(r.points.size(), 1u);
     EXPECT_EQ(r.points[0].after, taggedInst(*m, "setup"));
     // The pointer load before the call is inside the caller region.

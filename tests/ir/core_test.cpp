@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
+#include "ir/cfg.h"
 #include "ir/module.h"
 #include "ir/printer.h"
 
@@ -107,16 +108,74 @@ TEST(Instruction, SuccessorsFollowTerminator)
     EXPECT_EQ(succs[1], e);
     EXPECT_TRUE(t->successors().empty());
 
-    auto preds = f->predecessorList();
-    for (auto &[bb, p] : preds) {
-        if (bb == t || bb == e) {
-            ASSERT_EQ(p.size(), 1u);
-            EXPECT_EQ(p[0], a);
-        }
-        if (bb == a) {
-            EXPECT_TRUE(p.empty());
-        }
+    f->renumber();
+    Cfg cfg(*f);
+    ASSERT_EQ(cfg.numBlocks(), 3u);
+    EXPECT_EQ(cfg.block(0), a);
+    EXPECT_TRUE(cfg.preds(0).empty());
+    for (uint32_t b : {1u, 2u}) {
+        ASSERT_EQ(cfg.preds(b).size(), 1u);
+        EXPECT_EQ(cfg.preds(b)[0], 0u);
     }
+    ASSERT_EQ(cfg.succs(0).size(), 2u);
+    EXPECT_EQ(cfg.succs(0)[0], 1u);
+    EXPECT_EQ(cfg.succs(0)[1], 2u);
+}
+
+/** Two-block function: entry (cmp, br) -> exit (ret). */
+Function *
+twoBlocks(Module &m)
+{
+    Function *f = m.addFunction("f", Type::Void);
+    BasicBlock *a = f->addBlock("a");
+    BasicBlock *z = f->addBlock("z");
+    IRBuilder b(&m);
+    b.setInsertAtEnd(a);
+    b.cmp(Opcode::ICmpEq, m.getInt(1), m.getInt(2));
+    b.br(z);
+    b.setInsertAtEnd(z);
+    b.ret();
+    return f;
+}
+
+TEST(Cfg, RenumberGivesProgramOrderIds)
+{
+    Module m;
+    Function *f = twoBlocks(m);
+    EXPECT_EQ(f->entry()->id(), kNoId);
+    f->renumber();
+    Cfg cfg(*f);
+    ASSERT_EQ(cfg.numInsts(), 3u);
+    for (uint32_t i = 0; i < cfg.numInsts(); ++i) {
+        EXPECT_EQ(cfg.inst(i)->id(), i);
+        EXPECT_EQ(cfg.id(cfg.inst(i)), i);
+    }
+    EXPECT_EQ(cfg.firstInst(0), 0u);
+    EXPECT_EQ(cfg.endInst(0), 2u);
+    EXPECT_EQ(cfg.firstInst(1), 2u);
+    EXPECT_EQ(cfg.endInst(1), 3u);
+}
+
+TEST(CfgDeathTest, StaleNumberingIsFatal)
+{
+    Module m;
+    Function *f = twoBlocks(m);
+    EXPECT_DEATH(Cfg{*f}, "numbering is stale");
+    f->renumber();
+    // An inserted instruction, and an added block, both go stale.
+    IRBuilder b(&m);
+    b.setInsertBefore(f->entry()->front());
+    b.schedHint(1);
+    EXPECT_DEATH(Cfg{*f}, "numbering is stale");
+    f->renumber();
+    Cfg fresh(*f);
+    f->addBlock("late");
+    EXPECT_DEATH(Cfg{*f}, "numbering is stale");
+    // A block of another function is refused by id().
+    Module other;
+    Function *g = twoBlocks(other);
+    g->renumber();
+    EXPECT_DEATH(fresh.id(g->entry()), "not in this function");
 }
 
 TEST(Function, FreshBlockNamesAreUnique)

@@ -21,9 +21,11 @@ struct Fixture
         b.setInsertAtEnd(entry);
     }
 
+    /** Verifies the module as a pass hands it on: numbered. */
     bool
     verify()
     {
+        m.renumber();
         DiagEngine d;
         return verifyModule(m, d);
     }
@@ -33,6 +35,20 @@ TEST(Verifier, AcceptsWellFormed)
 {
     Fixture fx;
     fx.b.ret(fx.m.getInt(0));
+    EXPECT_TRUE(fx.verify());
+}
+
+TEST(Verifier, RejectsStaleNumbering)
+{
+    Fixture fx;
+    fx.b.ret(fx.m.getInt(0));
+    ASSERT_TRUE(fx.verify());
+    // An edit without renumber() leaves ids the analyses would misread.
+    fx.b.setInsertBefore(fx.entry->front());
+    fx.b.schedHint(7);
+    DiagEngine d;
+    EXPECT_FALSE(verifyModule(fx.m, d));
+    EXPECT_NE(d.str().find("stale"), std::string::npos) << d.str();
     EXPECT_TRUE(fx.verify());
 }
 

@@ -55,7 +55,8 @@ TEST_P(DomProperty, TreeMatchesBruteForceDefinition)
     ASSERT_TRUE(m) << d.str();
 
     for (const auto &f : m->functions()) {
-        analysis::DomTree dt(*f);
+        ir::Cfg cfg(*f);
+        analysis::DomTree dt(cfg);
         auto all = reachableAvoiding(*f, nullptr);
         for (const auto &a : f->blocks()) {
             if (!dt.isReachable(a.get()))
@@ -81,7 +82,8 @@ TEST_P(DomProperty, IdomIsTheUniqueClosestStrictDominator)
     ASSERT_TRUE(m) << d.str();
 
     for (const auto &f : m->functions()) {
-        analysis::DomTree dt(*f);
+        ir::Cfg cfg(*f);
+        analysis::DomTree dt(cfg);
         for (const auto &b : f->blocks()) {
             if (!dt.isReachable(b.get()))
                 continue;
