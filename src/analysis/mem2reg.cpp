@@ -143,8 +143,8 @@ class Promoter
     void
     rename()
     {
-        std::vector<Value *> incoming(allocas_.size(), nullptr);
-        renameBlock(f_.entry(), incoming);
+        std::vector<Value *> current(allocas_.size(), nullptr);
+        renameBlock(f_.entry(), current);
     }
 
     Value *
@@ -165,33 +165,46 @@ class Promoter
     }
 
     void
-    renameBlock(BasicBlock *bb, std::vector<Value *> current)
+    renameBlock(BasicBlock *bb, std::vector<Value *> &current)
     {
+        // Every change to `current` is logged so it can be undone on
+        // the way back up the dominator tree.
+        const size_t undo_mark = undo_.size();
+        auto define = [&](size_t v, Value *val) {
+            undo_.push_back({v, current[v]});
+            current[v] = val;
+        };
         // Phis in this block define new current values.
         for (const auto &[phi, v] : phisOf_[bb->id()])
-            current[v] = phi;
-        // Rewrite loads, record stores.
-        std::vector<Instruction *> dead;
-        for (auto &inst : bb->insts()) {
+            define(v, phi);
+        // Rewrite loads, record stores; both go in the same sweep.
+        auto &insts = bb->insts();
+        for (auto it = insts.begin(); it != insts.end();) {
+            Instruction *inst = it->get();
             if (inst->opcode() == Opcode::Load) {
                 int v = varOf(inst->operand(0));
-                if (v < 0)
+                if (v < 0) {
+                    ++it;
                     continue;
+                }
                 Value *cur = current[v];
                 if (!cur)
                     cur = defaultValue(v);
                 inst->replaceAllUsesWith(cur);
-                dead.push_back(inst.get());
             } else if (inst->opcode() == Opcode::Store) {
                 int v = varOf(inst->operand(1));
-                if (v < 0)
+                if (v < 0) {
+                    ++it;
                     continue;
-                current[v] = inst->operand(0);
-                dead.push_back(inst.get());
+                }
+                define(v, inst->operand(0));
+            } else {
+                ++it;
+                continue;
             }
+            inst->dropAllOperands();
+            it = insts.erase(it);
         }
-        for (Instruction *inst : dead)
-            bb->erase(inst);
         // Fill successor phis.
         for (BasicBlock *succ : bb->successors()) {
             for (const auto &[phi, v] : phisOf_[succ->id()]) {
@@ -204,6 +217,10 @@ class Promoter
         // Recurse over dominator-tree children.
         for (BasicBlock *child : dt_.children(bb))
             renameBlock(child, current);
+        while (undo_.size() > undo_mark) {
+            current[undo_.back().first] = undo_.back().second;
+            undo_.pop_back();
+        }
     }
 
     void
@@ -227,6 +244,8 @@ class Promoter
     /** By block id: the phis this pass placed there, with their
      *  variable. */
     std::vector<std::vector<std::pair<Instruction *, size_t>>> phisOf_;
+    /** renameBlock's log of (variable, previous value). */
+    std::vector<std::pair<size_t, Value *>> undo_;
 };
 
 } // namespace

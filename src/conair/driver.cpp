@@ -44,8 +44,8 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
     report.identified = countByKind(sites);
 
     // The analysis phase edits nothing, so one CFG snapshot and one
-    // set of control dependences per function serve every site.
-    m.renumber();
+    // set of control dependences per function serve every site.  The
+    // module arrives numbered (ir::Cfg checks it).
     CallGraph cg(m);
     analysis::ModuleAnalysis ma;
     InterprocOptions ipo;
@@ -154,7 +154,7 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
         plan.sites.push_back(sp);
     }
     plan.points = points;
-    report.transform = applyTransform(m, plan);
+    report.transform = applyTransform(m, plan, ma);
     m.renumber();
 
     auto t1 = std::chrono::steady_clock::now();

@@ -63,7 +63,11 @@ struct ConAirReport
     std::vector<SiteReport> sites;
 };
 
-/** Runs the full ConAir pipeline over @p m, in place. */
+/**
+ * Runs the full ConAir pipeline over @p m, in place.  @p m must be
+ * numbered (Function::renumber(), as compileMiniC and parseModule
+ * leave it) and is left numbered.
+ */
 ConAirReport applyConAir(ir::Module &m, const ConAirOptions &opts = {});
 
 } // namespace conair::ca

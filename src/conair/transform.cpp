@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "analysis/cfg_utils.h"
-#include "analysis/slicing.h"
 #include "ir/builder.h"
 #include "support/diag.h"
 
@@ -38,8 +37,9 @@ makeBuiltinCall(Builtin b, const std::vector<ir::Value *> &args,
 class Transformer
 {
   public:
-    Transformer(Module &m, const TransformPlan &plan)
-        : m_(m), plan_(plan)
+    Transformer(Module &m, const TransformPlan &plan,
+                analysis::ModuleAnalysis &ma)
+        : m_(m), plan_(plan), ma_(ma)
     {}
 
     TransformStats
@@ -103,31 +103,38 @@ class Transformer
     }
 
     /**
-     * Control dependences of @p fn.  Built after renumbering, and kept
-     * until a transform edits @p fn's CFG (cfgEdited): inserting
-     * non-terminator instructions leaves them and the block ids valid.
+     * Control dependences of @p fn: the analysis phase's until a block
+     * of @p fn is split (inserting non-terminator instructions leaves
+     * them and the block ids valid), then rebuilt from a fresh
+     * numbering after each split.
      */
     const analysis::ControlDeps &
     controlDeps(Function *fn)
     {
-        for (const auto &[f, cd] : cdeps_)
+        if (std::find(split_.begin(), split_.end(), fn) == split_.end())
+            return ma_.of(*fn).cdeps;
+        for (const auto &[f, cd] : rebuilt_)
             if (f == fn)
                 return *cd;
         fn->renumber();
-        cdeps_.push_back(
+        rebuilt_.push_back(
             {fn, std::make_unique<analysis::ControlDeps>(ir::Cfg(*fn))});
-        return *cdeps_.back().second;
+        return *rebuilt_.back().second;
     }
 
-    /** Drops @p fn's control dependences after a block split. */
+    /** Records a block split in @p fn: its control dependences and
+     *  block ids are stale from here on. */
     void
     cfgEdited(Function *fn)
     {
-        std::erase_if(cdeps_, [&](const auto &e) { return e.first == fn; });
+        if (std::find(split_.begin(), split_.end(), fn) == split_.end())
+            split_.push_back(fn);
+        std::erase_if(rebuilt_, [&](const auto &e) { return e.first == fn; });
     }
 
     /** True when @p target is reachable from @p from in the CFG.  The
-     *  block ids are those controlDeps() numbered. */
+     *  block ids must be current: no split since the numbering that
+     *  controlDeps() used. */
     static bool
     reaches(BasicBlock *from, BasicBlock *target)
     {
@@ -372,17 +379,20 @@ class Transformer
     Module &m_;
     const TransformPlan &plan_;
     TransformStats stats_;
+    analysis::ModuleAnalysis &ma_;
+    std::vector<Function *> split_; ///< functions with a split block
     std::vector<std::pair<Function *,
                           std::unique_ptr<analysis::ControlDeps>>>
-        cdeps_;
+        rebuilt_;
 };
 
 } // namespace
 
 TransformStats
-applyTransform(Module &m, const TransformPlan &plan)
+applyTransform(Module &m, const TransformPlan &plan,
+               analysis::ModuleAnalysis &ma)
 {
-    Transformer t(m, plan);
+    Transformer t(m, plan, ma);
     return t.run();
 }
 

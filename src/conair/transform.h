@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "analysis/slicing.h"
 #include "conair/failure_sites.h"
 #include "conair/regions.h"
 
@@ -65,7 +66,14 @@ struct TransformStats
     unsigned compensationHooks = 0;   ///< note_alloc / note_lock calls
 };
 
-/** Applies the transformation to @p m in place. */
-TransformStats applyTransform(ir::Module &m, const TransformPlan &plan);
+/**
+ * Applies the transformation to @p m in place.  @p ma is the analysis
+ * phase's per-function state, built before any edit: the transform
+ * reuses its control dependences (which inserted instructions leave
+ * valid) until it splits a block of that function, and then rebuilds
+ * them from a fresh numbering.
+ */
+TransformStats applyTransform(ir::Module &m, const TransformPlan &plan,
+                              analysis::ModuleAnalysis &ma);
 
 } // namespace conair::ca

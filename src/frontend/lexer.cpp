@@ -2,7 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 
 #include "support/str.h"
 
@@ -66,7 +67,7 @@ tokenKindName(Tk kind)
 
 namespace {
 
-const std::unordered_map<std::string, Tk> keywords = {
+constexpr std::pair<std::string_view, Tk> keywords[] = {
     {"int", Tk::KwInt},       {"double", Tk::KwDouble},
     {"void", Tk::KwVoid},     {"mutex", Tk::KwMutex},
     {"if", Tk::KwIf},         {"else", Tk::KwElse},
@@ -75,12 +76,29 @@ const std::unordered_map<std::string, Tk> keywords = {
     {"continue", Tk::KwContinue},
 };
 
+/** The keyword spelled @p word, or Tk::Ident. */
+Tk
+wordKind(std::string_view word)
+{
+    for (const auto &[spelling, kind] : keywords)
+        if (word == spelling)
+            return kind;
+    return Tk::Ident;
+}
+
+bool
+isWordChar(char c)
+{
+    return std::isalnum((unsigned char)c) || c == '_';
+}
+
 } // namespace
 
 std::vector<Token>
 lex(const std::string &src, DiagEngine &diags)
 {
     std::vector<Token> toks;
+    toks.reserve(src.size() / 4 + 16); // about one token per 4 bytes
     size_t pos = 0;
     uint32_t line = 1, col = 1;
 
@@ -133,33 +151,34 @@ lex(const std::string &src, DiagEngine &diags)
             continue;
         }
         if (std::isalpha((unsigned char)c) || c == '_') {
+            // Words and numbers hold no newline: the column just moves.
             Token t = make(Tk::Ident);
-            std::string word;
-            while (std::isalnum((unsigned char)peek()) || peek() == '_') {
-                word += peek();
-                advance();
-            }
-            auto kw = keywords.find(word);
-            if (kw != keywords.end())
-                t.kind = kw->second;
-            t.text = std::move(word);
+            size_t start = pos;
+            while (pos < src.size() && isWordChar(src[pos]))
+                ++pos;
+            col += pos - start;
+            std::string_view word(src.data() + start, pos - start);
+            t.kind = wordKind(word);
+            t.text.assign(word);
             toks.push_back(std::move(t));
             continue;
         }
         if (std::isdigit((unsigned char)c) ||
             (c == '.' && std::isdigit((unsigned char)peek(1)))) {
             Token t = make(Tk::IntLit);
-            std::string num;
+            size_t start = pos;
             bool is_float = false;
-            while (std::isdigit((unsigned char)peek()) || peek() == '.' ||
-                   peek() == 'e' || peek() == 'E' ||
-                   ((peek() == '+' || peek() == '-') && !num.empty() &&
-                    (num.back() == 'e' || num.back() == 'E'))) {
-                if (peek() == '.' || peek() == 'e' || peek() == 'E')
-                    is_float = true;
-                num += peek();
-                advance();
+            for (;; ++pos) {
+                char d = peek();
+                bool exp_sign = (d == '+' || d == '-') && pos > start &&
+                                (src[pos - 1] == 'e' || src[pos - 1] == 'E');
+                bool fp = d == '.' || d == 'e' || d == 'E';
+                if (!std::isdigit((unsigned char)d) && !fp && !exp_sign)
+                    break;
+                is_float |= fp;
             }
+            col += pos - start;
+            std::string num(src, start, pos - start);
             if (is_float) {
                 t.kind = Tk::FloatLit;
                 t.fval = std::strtod(num.c_str(), nullptr);

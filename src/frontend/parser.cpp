@@ -423,6 +423,7 @@ class Parser
             auto rhs = parseBinary(info.prec + 1);
             auto e = makeExpr(ExprKind::Binary, loc);
             e->text = info.spelling;
+            e->kids.reserve(2);
             e->kids.push_back(std::move(lhs));
             e->kids.push_back(std::move(rhs));
             lhs = std::move(e);
