@@ -89,7 +89,7 @@ class Instruction : public Value
     uint32_t id() const { return id_; }
 
     /// @{ Operand access.
-    unsigned numOperands() const { return operands_.size(); }
+    unsigned numOperands() const { return unsigned(operands_.size()); }
     Value *operand(unsigned i) const { return operands_[i]; }
     void setOperand(unsigned i, Value *v);
     void addOperand(Value *v);
@@ -110,7 +110,7 @@ class Instruction : public Value
     /// @}
 
     /// @{ Block operands (branch targets / phi incoming blocks).
-    unsigned numBlockOps() const { return blockOps_.size(); }
+    unsigned numBlockOps() const { return unsigned(blockOps_.size()); }
     BasicBlock *blockOp(unsigned i) const { return blockOps_[i]; }
     void setBlockOp(unsigned i, BasicBlock *bb) { blockOps_[i] = bb; }
     void addBlockOp(BasicBlock *bb) { blockOps_.push_back(bb); }
@@ -152,13 +152,13 @@ class Instruction : public Value
 
     Opcode op_;
     uint32_t id_ = kNoId;
-    std::vector<Value *> operands_;
+    SmallVec<Value *, 2> operands_; ///< most instructions have <= 2
     BasicBlock *parent_ = nullptr;
 
     int64_t allocaSize_ = 1;
     Function *callee_ = nullptr;
     Builtin builtin_ = Builtin::None;
-    std::vector<BasicBlock *> blockOps_;
+    SmallVec<BasicBlock *, 2> blockOps_; ///< branch targets, phi blocks
     uint64_t hintId_ = 0;
     SrcLoc loc_;
     std::string tag_;

@@ -156,7 +156,7 @@ Value::addUse(Instruction *user, unsigned index)
 void
 Value::removeUse(Instruction *user, unsigned index)
 {
-    auto it = std::find(uses_.begin(), uses_.end(), Use{user, index});
+    Use *it = std::find(uses_.begin(), uses_.end(), Use{user, index});
     if (it == uses_.end())
         fatal("Value::removeUse: use not found");
     uses_.erase(it);
@@ -167,10 +167,12 @@ Value::replaceAllUsesWith(Value *repl)
 {
     if (repl == this)
         return;
-    // setOperand mutates uses_, so iterate over a snapshot.
-    std::vector<Use> snapshot = uses_;
-    for (const Use &u : snapshot)
+    // Each setOperand removes the front use, so this rewrites the uses
+    // in list order.
+    while (!uses_.empty()) {
+        Use u = uses_[0];
         u.user->setOperand(u.index, repl);
+    }
 }
 
 bool

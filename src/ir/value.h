@@ -7,10 +7,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ir/type.h"
+#include "support/small_vec.h"
 
 namespace conair::ir {
 
@@ -65,7 +67,7 @@ class Value
     ValueKind kind() const { return kind_; }
     Type type() const { return type_; }
 
-    const std::vector<Use> &uses() const { return uses_; }
+    std::span<const Use> uses() const { return {uses_.data(), uses_.size()}; }
     bool hasUses() const { return !uses_.empty(); }
 
     /** Rewrites every use of this value to use @p repl instead. */
@@ -81,7 +83,7 @@ class Value
   private:
     ValueKind kind_;
     Type type_;
-    std::vector<Use> uses_;
+    SmallVec<Use, 1> uses_; ///< most values have one use
 };
 
 /** A 64-bit integer constant (also used for i1: 0/1). */
