@@ -101,43 +101,46 @@ applyConAir(ir::Module &m, const ConAirOptions &opts)
     std::vector<const Function *> fn_order;
     for (const auto &f : m.functions())
         fn_order.push_back(f.get());
-    auto order_key = [&](const Position &p) {
-        const Function *f = p.block->parent();
-        uint64_t fi = std::find(fn_order.begin(), fn_order.end(), f) -
-                      fn_order.begin();
-        return fi << 32 | (p.after ? uint64_t(p.after->id()) + 1 : 0);
+    struct KeyedPoint
+    {
+        uint64_t key;
+        Position pos;
+        PositionInfo info;
     };
-    std::vector<std::pair<uint64_t, std::pair<Position, PositionInfo>>>
-        keyed;
+    std::vector<KeyedPoint> keyed;
     for (const SiteWork &w : work) {
         if (!w.recoverable)
             continue;
         for (const Position &p : w.points) {
+            const Function *f = p.block->parent();
             if (p.isFunctionEntry() &&
-                std::find(promoted_fns.begin(), promoted_fns.end(),
-                          p.block->parent()) != promoted_fns.end())
+                std::find(promoted_fns.begin(), promoted_fns.end(), f) !=
+                    promoted_fns.end())
                 continue;
-            PositionInfo info;
+            uint64_t fi = std::find(fn_order.begin(), fn_order.end(), f) -
+                          fn_order.begin();
+            KeyedPoint kp{fi << 32 | (p.after ? p.after->id() + 1ull : 0),
+                          p, {}};
             if (w.site.kind == FailureKind::Deadlock)
-                info.usedByDeadlock = true;
+                kp.info.usedByDeadlock = true;
             else
-                info.usedByNonDeadlock = true;
-            keyed.push_back({order_key(p), {p, info}});
+                kp.info.usedByNonDeadlock = true;
+            keyed.push_back(kp);
         }
     }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
+    std::sort(keyed.begin(), keyed.end(),
+              [](const KeyedPoint &a, const KeyedPoint &b) {
+                  return a.key < b.key;
+              });
     std::vector<std::pair<Position, PositionInfo>> points;
     for (size_t i = 0; i < keyed.size(); ++i) {
-        const auto &[pos, info] = keyed[i].second;
-        if (i == 0 || keyed[i].first != keyed[i - 1].first) {
-            points.push_back({pos, info});
+        if (i == 0 || keyed[i].key != keyed[i - 1].key) {
+            points.push_back({keyed[i].pos, keyed[i].info});
             continue;
         }
-        points.back().second.usedByDeadlock |= info.usedByDeadlock;
-        points.back().second.usedByNonDeadlock |= info.usedByNonDeadlock;
+        points.back().second.usedByDeadlock |= keyed[i].info.usedByDeadlock;
+        points.back().second.usedByNonDeadlock |=
+            keyed[i].info.usedByNonDeadlock;
     }
 
     // Pass 3 (§3.3): the code transformation.
