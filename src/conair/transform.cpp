@@ -171,35 +171,36 @@ class Transformer
             controlDeps(fail_bb->parent());
 
         // Iterated control dependence: every branch that (transitively)
-        // decides whether the failing block runs, in discovery order.
+        // decides whether the failing block runs.  Marks are by block
+        // id; a block has one terminator, so they also dedup the terms.
+        const size_t num_blocks = fail_bb->parent()->numBlocks();
         std::vector<const Instruction *> terms;
-        std::vector<char> seen(fail_bb->parent()->numBlocks(), 0);
+        std::vector<char> queued(num_blocks, 0), has_term(num_blocks, 0);
         std::vector<const BasicBlock *> work{fail_bb};
-        seen[fail_bb->id()] = 1;
+        queued[fail_bb->id()] = 1;
         while (!work.empty()) {
             const BasicBlock *bb = work.back();
             work.pop_back();
             for (const Instruction *term : cdeps.of(bb)) {
-                if (std::find(terms.begin(), terms.end(), term) !=
-                    terms.end())
+                const BasicBlock *tb = term->parent();
+                if (has_term[tb->id()])
                     continue;
+                has_term[tb->id()] = 1;
                 terms.push_back(term);
-                if (!seen[term->parent()->id()]) {
-                    seen[term->parent()->id()] = 1;
-                    work.push_back(term->parent());
+                if (!queued[tb->id()]) {
+                    queued[tb->id()] = 1;
+                    work.push_back(tb);
                 }
             }
         }
 
-        std::vector<BasicBlock *> marked;
+        std::vector<char> marked(num_blocks, 0);
         for (const Instruction *term : terms) {
             for (unsigned i = 0; i < term->numBlockOps(); ++i) {
                 BasicBlock *succ = term->blockOp(i);
-                if (succ == fail_bb ||
-                    std::find(marked.begin(), marked.end(), succ) !=
-                        marked.end())
+                if (succ == fail_bb || marked[succ->id()])
                     continue;
-                marked.push_back(succ);
+                marked[succ->id()] = 1;
                 if (reaches(succ, fail_bb))
                     continue;
                 insertAfterPhis(succ,
