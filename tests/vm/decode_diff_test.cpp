@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/harness.h"
+#include "obs/trace.h"
 #include "tests/vm/vm_test_util.h"
 
 #ifndef CONAIR_EXAMPLES_DIR
@@ -266,6 +267,122 @@ TEST(DecodeDiff, ChaosRollbackModeAgrees)
     }
     // Not vacuous: chaos really rolls back in most of the sweep.
     EXPECT_GT(rolledBackCases, 11u * 4 * 2 * 3 / 2);
+}
+
+/** Runs @p m under @p cfg with a never-dropping recorder in diagnosis
+ *  mode (every non-stack access recorded) and returns the stream. */
+std::vector<obs::TraceEvent>
+recordedStream(const ir::Module &m, VmConfig cfg)
+{
+    obs::FlightRecorder rec(4096, obs::RecorderMode::Grow);
+    cfg.recorder = &rec;
+    cfg.recordSharedAccesses = true;
+    runProgram(m, cfg);
+    EXPECT_EQ(rec.droppedAll(), 0u);
+    return rec.merged();
+}
+
+/** Both engines under @p base must record the same event stream,
+ *  field for field, tags included.  Returns the number of tagged
+ *  events in the stream. */
+size_t
+expectSameStream(const ir::Module &m, const VmConfig &base,
+                 const std::string &ctx)
+{
+    VmConfig fused = base;
+    fused.engine = ExecEngine::Fused;
+    VmConfig ref = base;
+    ref.engine = ExecEngine::Reference;
+    ref.schedFastPath = false;
+    std::vector<obs::TraceEvent> a = recordedStream(m, fused);
+    std::vector<obs::TraceEvent> b = recordedStream(m, ref);
+    EXPECT_EQ(a.size(), b.size()) << ctx;
+    for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (a[i] == b[i])
+            continue;
+        ADD_FAILURE() << ctx << ": first divergence at event " << i
+                      << ": fused " << obs::eventKindName(a[i].kind)
+                      << " tid " << a[i].tid << " step " << a[i].step
+                      << " vs reference "
+                      << obs::eventKindName(b[i].kind) << " tid "
+                      << b[i].tid << " step " << b[i].step;
+        break;
+    }
+    return size_t(std::count_if(
+        a.begin(), a.end(),
+        [](const obs::TraceEvent &ev) { return !ev.tag.empty(); }));
+}
+
+TEST(DecodeDiff, RecordedStreamsAgree)
+{
+    // Passivity (tests/obs/vm_trace_test.cpp) pins that recording does
+    // not perturb a run; this pins *what* is recorded.  Every record
+    // site exists once per engine path, so the Fused and Reference
+    // engines must emit the identical stream: every kernel, plain and
+    // hardened, under each exploration policy and several seeds, then
+    // the hardened chaos cases of ChaosRollbackModeAgrees.
+    std::vector<const apps::AppSpec *> kernels;
+    for (const apps::AppSpec &app : apps::allApps())
+        kernels.push_back(&app);
+    for (const apps::AppSpec &app : apps::challengeApps())
+        kernels.push_back(&app);
+    ASSERT_EQ(kernels.size(), 11u);
+
+    const SchedPolicy policies[] = {SchedPolicy::Pct,
+                                    SchedPolicy::PreemptBound,
+                                    SchedPolicy::Random,
+                                    SchedPolicy::RoundRobin};
+    size_t taggedEvents = 0;
+    for (const apps::AppSpec *app : kernels) {
+        apps::HardenOptions harden;
+        apps::HardenOptions plainOpts;
+        plainOpts.applyConAir = false;
+        for (const apps::HardenOptions &opts : {plainOpts, harden}) {
+            apps::PreparedApp p = apps::prepareApp(*app, opts);
+            VmConfig calib;
+            calib.policy = SchedPolicy::RoundRobin;
+            calib.quantum = 1'000;
+            const uint64_t horizon = std::max<uint64_t>(
+                runProgram(*p.module, calib).stats.schedTicks, 64);
+            const std::string build =
+                p.hardened ? " hardened " : " plain ";
+
+            for (SchedPolicy policy : policies) {
+                for (uint64_t seed : {1, 2, 3}) {
+                    VmConfig cfg;
+                    cfg.policy = policy;
+                    cfg.seed = seed;
+                    cfg.pctHorizon = horizon;
+                    taggedEvents += expectSameStream(
+                        *p.module, cfg,
+                        app->name + build + schedPolicyName(policy) +
+                            " seed " + std::to_string(seed));
+                    if (!p.hardened)
+                        continue;
+                    for (uint64_t every : {16, 128}) {
+                        cfg.chaosRollbackEveryN = every;
+                        taggedEvents += expectSameStream(
+                            *p.module, cfg,
+                            app->name + " chaos " +
+                                schedPolicyName(policy) + " every " +
+                                std::to_string(every) + " seed " +
+                                std::to_string(seed));
+                    }
+                }
+            }
+        }
+    }
+    // Not vacuous: the streams carry site tags to compare.
+    EXPECT_GT(taggedEvents, 0u);
+
+    const apps::AppSpec *mysql1 = apps::findApp("MySQL1");
+    ASSERT_NE(mysql1, nullptr);
+    apps::PreparedApp hardened =
+        apps::prepareApp(*mysql1, apps::HardenOptions{});
+    VmConfig cfg = mysql1->cleanConfig;
+    cfg.seed = 3;
+    cfg.chaosRollbackEveryN = 200;
+    expectSameStream(*hardened.module, cfg, "MySQL1 chaos");
 }
 
 TEST(DecodeDiff, RecursionAndDeepCallsAgree)
