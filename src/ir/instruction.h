@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/builtins.h"
 #include "ir/value.h"
 #include "support/diag.h"
+#include "support/intern.h"
 
 namespace conair::ir {
 
@@ -132,9 +134,12 @@ class Instruction : public Value
     SrcLoc loc() const { return loc_; }
     void setLoc(SrcLoc loc) { loc_ = loc; }
 
-    /** Free-form annotation; used to name fix-mode failure sites. */
-    const std::string &tag() const { return tag_; }
-    void setTag(std::string t) { tag_ = std::move(t); }
+    /** Free-form annotation; used to name fix-mode failure sites.
+     *  Stored interned (support/intern.h): tagId() is what the VM
+     *  records, tag() the string it names. */
+    const std::string &tag() const { return tagName(tag_); }
+    TagId tagId() const { return tag_; }
+    void setTag(std::string_view t) { tag_ = intern(t); }
 
     bool isTerminator() const;
     bool
@@ -149,6 +154,11 @@ class Instruction : public Value
 
   private:
     friend class Function; // renumber() writes id_
+    friend class Module;   // teardown forgets operands wholesale
+
+    /** Drops the operand list without unlinking the uses: only for a
+     *  module teardown, where every used value dies too. */
+    void forgetOperands() { operands_.clear(); }
 
     Opcode op_;
     uint32_t id_ = kNoId;
@@ -161,7 +171,7 @@ class Instruction : public Value
     SmallVec<BasicBlock *, 2> blockOps_; ///< branch targets, phi blocks
     uint64_t hintId_ = 0;
     SrcLoc loc_;
-    std::string tag_;
+    TagId tag_ = kNoTag;
 };
 
 } // namespace conair::ir

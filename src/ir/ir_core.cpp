@@ -12,6 +12,7 @@
 #include "ir/value.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "support/diag.h"
@@ -557,6 +558,19 @@ Module::addFunction(std::string name, Type ret_type)
     return functions_.back().get();
 }
 
+Module::~Module()
+{
+    // Every value an operand can name (instructions, arguments, pooled
+    // constants, globals) dies with the module, so skip the per-use
+    // unlinking that ~Function does for a lone function: erasing each
+    // use from a pooled constant's long use list is quadratic in the
+    // constant's popularity.
+    for (auto &f : functions_)
+        for (auto &bb : f->blocks())
+            for (auto &inst : bb->insts())
+                inst->forgetOperands();
+}
+
 Function *
 Module::findFunction(const std::string &name) const
 {
@@ -582,8 +596,14 @@ Module::getInt(int64_t v, Type t)
 ConstFloat *
 Module::getFloat(double v)
 {
-    pool_.push_back(std::make_unique<ConstFloat>(v));
-    return static_cast<ConstFloat *>(pool_.back().get());
+    // Keyed by the bit pattern: -0.0 and +0.0, and NaNs with different
+    // payloads, stay distinct constants.
+    ConstFloat *&c = floatCache_[std::bit_cast<uint64_t>(v)];
+    if (!c) {
+        pool_.push_back(std::make_unique<ConstFloat>(v));
+        c = static_cast<ConstFloat *>(pool_.back().get());
+    }
+    return c;
 }
 
 ConstNull *

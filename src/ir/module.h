@@ -60,6 +60,9 @@ class Module
 {
   public:
     explicit Module(std::string name = "module") : name_(std::move(name)) {}
+    ~Module();
+    Module(const Module &) = delete;
+    Module &operator=(const Module &) = delete;
 
     const std::string &name() const { return name_; }
     void setName(std::string n) { name_ = std::move(n); }
@@ -109,6 +112,7 @@ class Module
     std::vector<std::unique_ptr<Value>> pool_;
     std::unordered_map<int64_t, ConstInt *> intCache_;
     std::unordered_map<int64_t, ConstInt *> boolCache_;
+    std::unordered_map<uint64_t, ConstFloat *> floatCache_; ///< by bits
     std::unordered_map<std::string, uint32_t> strIds_;
     std::vector<std::string> strings_;
     std::unordered_map<Global *, GlobalAddr *> globalAddrCache_;

@@ -1,10 +1,10 @@
 #include "obs/coverage/coverage.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "obs/trace.h"
+#include "support/intern.h"
 
 namespace conair::obs::cov {
 
@@ -31,14 +31,14 @@ fnvWord(uint64_t h, uint64_t w)
  * A site signature identifies *where* an event happened, not when:
  * the event kind, its stable payload word (mutex cell for lock
  * traffic, packed cell address for shared accesses — never value
- * bits or clocks), and the site tag.
+ * bits or clocks), and the site tag's characters.
  */
 uint64_t
 siteSig(const TraceEvent &ev)
 {
     uint64_t h = fnvByte(kFnvOffset, uint8_t(ev.kind));
     h = fnvWord(h, ev.a);
-    for (char c : ev.tag)
+    for (char c : tagName(ev.tag))
         h = fnvByte(h, uint8_t(c));
     return h;
 }
@@ -75,6 +75,147 @@ isSyncRelevant(EventKind k)
     }
 }
 
+/** What siteSig() hashes: (kind, a, tag id) names one site. */
+struct SiteKey
+{
+    uint64_t a = 0;
+    uint32_t kindTag = 0; ///< kind << kTagIdBits | tag id
+
+    bool operator==(const SiteKey &) const = default;
+};
+
+uint64_t
+hashKey(uint64_t k)
+{
+    return k * 0x9E3779B97F4A7C15ull;
+}
+
+uint64_t
+hashKey(const SiteKey &k)
+{
+    return hashKey(k.a ^ (uint64_t(k.kindTag) << 29));
+}
+
+/**
+ * A flat open-addressed map for one fold's scratch state (power-of-two
+ * capacity, Fibonacci hash, linear probing, at most half full).  It is
+ * reused fold after fold: clear() bumps a generation stamp instead of
+ * touching the slots, and a slot of an older generation reads as free.
+ */
+template <typename K, typename V>
+class ScratchMap
+{
+  public:
+    void
+    clear()
+    {
+        used_ = 0;
+        if (++gen_ == 0) { // stamps wrapped: really empty the slots
+            for (Slot &s : slots_)
+                s.gen = 0;
+            gen_ = 1;
+        }
+    }
+
+    /** The value for @p key, or nullptr. */
+    V *
+    find(const K &key)
+    {
+        if (slots_.empty())
+            return nullptr;
+        for (size_t i = slotOf(key);; i = (i + 1) & mask_) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_)
+                return nullptr;
+            if (s.key == key)
+                return &s.val;
+        }
+    }
+
+    /** The value for @p key, value-initialised when @p inserted. */
+    V &
+    get(const K &key, bool &inserted)
+    {
+        if (2 * (used_ + 1) > slots_.size())
+            grow();
+        for (size_t i = slotOf(key);; i = (i + 1) & mask_) {
+            Slot &s = slots_[i];
+            if (s.gen != gen_) {
+                s = Slot{key, V{}, gen_};
+                ++used_;
+                inserted = true;
+                return s.val;
+            }
+            if (s.key == key) {
+                inserted = false;
+                return s.val;
+            }
+        }
+    }
+
+    /** Adds @p key; true iff it was absent. */
+    bool
+    insert(const K &key)
+    {
+        bool inserted;
+        get(key, inserted);
+        return inserted;
+    }
+
+  private:
+    struct Slot
+    {
+        K key{};
+        V val{};
+        uint32_t gen = 0;
+    };
+
+    size_t
+    slotOf(const K &key) const
+    {
+        return size_t(hashKey(key) >> shift_);
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old = std::move(slots_);
+        size_t n = std::max<size_t>(64, 2 * old.size());
+        slots_.assign(n, Slot{});
+        mask_ = n - 1;
+        shift_ = 64 - unsigned(__builtin_ctzll(n));
+        uint32_t gen = gen_;
+        gen_ = 1;
+        used_ = 0;
+        for (const Slot &s : old) {
+            bool inserted;
+            if (s.gen == gen)
+                get(s.key, inserted) = s.val;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    unsigned shift_ = 64;
+    size_t used_ = 0;
+    uint32_t gen_ = 1;
+};
+
+struct LastStore
+{
+    uint32_t tid = 0;
+    uint64_t sig = 0;
+};
+
+/** foldCoverage()'s per-thread scratch, reused across folds. */
+struct FoldScratch
+{
+    ScratchMap<uint64_t, bool> edgeSeen;       ///< edge keys this fold
+    ScratchMap<uint64_t, bool> pairSeen;       ///< (from, to) pairs
+    ScratchMap<uint64_t, LastStore> lastStore; ///< by packed address
+    ScratchMap<SiteKey, uint64_t> sigs;        ///< siteSig() memo
+};
+
 } // namespace
 
 const char *
@@ -92,11 +233,16 @@ CoverageFold
 foldCoverage(const FlightRecorder &rec)
 {
     CoverageFold fold;
-    std::unordered_map<uint64_t, size_t> seen; // key -> edges index
+    thread_local FoldScratch scratch;
+    scratch.edgeSeen.clear();
+    scratch.pairSeen.clear();
+    scratch.lastStore.clear();
+    scratch.sigs.clear();
+
     // A preemption between two sync-relevant sites shows up in *both*
     // folds: the SchedSwitch window closes on the same (from, to) site
     // pair the cross-thread sync fold records.  Two kinds mean two
-    // distinct keys, so without this set one interleaving fact would
+    // distinct keys, so without pairSeen one interleaving fact would
     // be charged twice — inflating novelty counts and, downstream,
     // the mutation energy the guided explorer assigns to a schedule.
     // Dedup per run on the bare (from, to) pair: whichever of the two
@@ -104,16 +250,13 @@ foldCoverage(const FlightRecorder &rec)
     // window check runs before the sync fold).  RacyPair edges have
     // different endpoint semantics (store site on the same cell) and
     // stay separate.
-    std::unordered_set<uint64_t> pairSeen;
-
     auto addEdge = [&](EdgeKind kind, uint64_t from, uint64_t to,
                        const TraceEvent &at) {
-        if (kind == EdgeKind::SyncSync ||
-            kind == EdgeKind::SwitchWindow) {
-            uint64_t pair = fnvWord(fnvWord(kFnvOffset, from), to);
-            if (!pairSeen.insert(pair).second)
-                return;
-        }
+        if ((kind == EdgeKind::SyncSync ||
+             kind == EdgeKind::SwitchWindow) &&
+            !scratch.pairSeen.insert(
+                fnvWord(fnvWord(kFnvOffset, from), to)))
+            return;
         Edge e;
         e.kind = kind;
         e.from = from;
@@ -122,8 +265,7 @@ foldCoverage(const FlightRecorder &rec)
         e.clock = at.clock;
         e.step = at.step;
         e.tid = at.tid;
-        auto [it, inserted] = seen.emplace(e.key, fold.edges.size());
-        if (inserted) {
+        if (scratch.edgeSeen.insert(e.key)) {
             fold.edges.push_back(e);
             ++fold.perKind[size_t(kind)];
         }
@@ -139,17 +281,10 @@ foldCoverage(const FlightRecorder &rec)
     uint64_t pendingSwitchFrom = 0;
     bool pendingSwitch = false;
 
-    struct LastStore
-    {
-        uint32_t tid;
-        uint64_t sig;
-    };
-    std::unordered_map<uint64_t, LastStore> lastStoreByAddr;
-
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.forEachInOrder([&](const TraceEvent &ev) {
         if (ev.kind == EventKind::CoverageNovel ||
             ev.kind == EventKind::CoverageSnapshot)
-            continue; // re-folding an annotated trace stays stable
+            return; // re-folding an annotated trace stays stable
         if (ev.kind == EventKind::SchedSwitch) {
             // The window opens at the last real event before the
             // switch and closes at the first real event after it.
@@ -157,12 +292,17 @@ foldCoverage(const FlightRecorder &rec)
                 pendingSwitch = true;
                 pendingSwitchFrom = lastEvSig;
             }
-            continue;
+            return;
         }
         if (isSchedulerNoise(ev.kind))
-            continue;
+            return;
 
-        uint64_t sig = siteSig(ev);
+        bool fresh;
+        uint64_t &memo = scratch.sigs.get(
+            {ev.a, uint32_t(ev.kind) << kTagIdBits | ev.tag}, fresh);
+        if (fresh)
+            memo = siteSig(ev);
+        const uint64_t sig = memo;
 
         if (pendingSwitch) {
             addEdge(EdgeKind::SwitchWindow, pendingSwitchFrom, sig, ev);
@@ -177,19 +317,21 @@ foldCoverage(const FlightRecorder &rec)
             haveSync = true;
         }
 
-        if (ev.kind == EventKind::SharedLoad ||
-            ev.kind == EventKind::SharedStore) {
-            auto it = lastStoreByAddr.find(ev.a);
-            if (it != lastStoreByAddr.end() &&
-                it->second.tid != ev.tid)
-                addEdge(EdgeKind::RacyPair, it->second.sig, sig, ev);
-            if (ev.kind == EventKind::SharedStore)
-                lastStoreByAddr[ev.a] = {ev.tid, sig};
+        if (ev.kind == EventKind::SharedStore) {
+            bool first;
+            LastStore &last = scratch.lastStore.get(ev.a, first);
+            if (!first && last.tid != ev.tid)
+                addEdge(EdgeKind::RacyPair, last.sig, sig, ev);
+            last = {ev.tid, sig};
+        } else if (ev.kind == EventKind::SharedLoad) {
+            const LastStore *last = scratch.lastStore.find(ev.a);
+            if (last && last->tid != ev.tid)
+                addEdge(EdgeKind::RacyPair, last->sig, sig, ev);
         }
 
         lastEvSig = sig;
         haveLastEv = true;
-    }
+    });
 
     std::sort(fold.edges.begin(), fold.edges.end(),
               [](const Edge &x, const Edge &y) { return x.key < y.key; });
@@ -218,10 +360,14 @@ void
 annotateRecorder(FlightRecorder &rec, const std::vector<Edge> &novel,
                  uint64_t distinctAfter)
 {
+    // Clocks and steps never decrease along a thread's events, so each
+    // ring's newest event holds that thread's maximum.
     uint64_t endClock = 0, endStep = 0;
-    for (const TraceEvent &ev : rec.merged()) {
-        endClock = std::max(endClock, ev.clock);
-        endStep = std::max(endStep, ev.step);
+    for (uint32_t tid = 0; tid < rec.threadCount(); ++tid) {
+        if (const TraceEvent *ev = rec.newest(tid)) {
+            endClock = std::max(endClock, ev->clock);
+            endStep = std::max(endStep, ev->step);
+        }
     }
     for (const Edge &e : novel)
         rec.record(e.tid, EventKind::CoverageNovel, e.clock, e.step,

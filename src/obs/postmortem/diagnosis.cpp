@@ -124,7 +124,7 @@ accessOf(const TraceEvent &ev)
     a.isStore = ev.kind == EventKind::SharedStore;
     a.addr = ev.a;
     a.value = ev.b;
-    a.tag = ev.tag;
+    a.tag = tagName(ev.tag);
     return a;
 }
 
@@ -177,11 +177,12 @@ struct TraceIndex
     std::vector<Episode> episodes;
 };
 
+/** Indexes @p rec in seq order; the index points into its rings. */
 TraceIndex
-indexTrace(const std::vector<TraceEvent> &merged)
+indexTrace(const FlightRecorder &rec)
 {
     TraceIndex ix;
-    for (const TraceEvent &ev : merged) {
+    rec.forEachInOrder([&ix](const TraceEvent &ev) {
         switch (ev.kind) {
           case EventKind::SharedLoad:
           case EventKind::SharedStore:
@@ -209,7 +210,7 @@ indexTrace(const std::vector<TraceEvent> &merged)
           case EventKind::RecoveryDone: {
             Episode e;
             e.tid = ev.tid;
-            e.tag = ev.tag;
+            e.tag = tagName(ev.tag);
             e.recovered = true;
             e.retries = ev.a;
             e.startClock = ev.b;
@@ -221,7 +222,7 @@ indexTrace(const std::vector<TraceEvent> &merged)
           case EventKind::FailureSite: {
             Episode e;
             e.tid = ev.tid;
-            e.tag = ev.tag;
+            e.tag = tagName(ev.tag);
             e.recovered = false;
             e.startClock = ev.clock;
             e.endClock = ev.clock;
@@ -232,7 +233,7 @@ indexTrace(const std::vector<TraceEvent> &merged)
           default:
             break;
         }
-    }
+    });
     return ix;
 }
 
@@ -395,7 +396,7 @@ diagnoseDeadlock(const TraceIndex &ix, const ir::Module &m,
         ep.failingAccess.tid = blocked->tid;
         ep.failingAccess.addr =
             packCellAddr(kSegGlobal, uint32_t(mutexBlock), 0);
-        ep.failingAccess.tag = blocked->tag;
+        ep.failingAccess.tag = tagName(blocked->tag);
     }
 
     // Partner: the last thread to acquire the contended mutex before
@@ -414,7 +415,7 @@ diagnoseDeadlock(const TraceIndex &ix, const ir::Module &m,
         ep.racingAccess.step = holder->step;
         ep.racingAccess.tid = holder->tid;
         ep.racingAccess.addr = ep.failingAccess.addr;
-        ep.racingAccess.tag = holder->tag;
+        ep.racingAccess.tag = tagName(holder->tag);
         if (ep.failingAccess.valid)
             ep.switchWindow = switchesBetween(
                 ix.switchSeqs, holder->seq, ep.failingAccess.seq);
@@ -560,10 +561,7 @@ diagnose(const FlightRecorder &rec, const ir::Module &m,
     rep.sharedAccessesSeen = rec.totalOf(EventKind::SharedLoad) +
                              rec.totalOf(EventKind::SharedStore);
 
-    // The index holds pointers into the merged stream; keep it alive
-    // for the whole diagnosis.
-    std::vector<TraceEvent> merged = rec.merged();
-    TraceIndex ix = indexTrace(merged);
+    TraceIndex ix = indexTrace(rec);
 
     for (const Episode &e : ix.episodes) {
         EpisodeReport ep;
@@ -579,7 +577,7 @@ diagnose(const FlightRecorder &rec, const ir::Module &m,
         if (ep.siteTag.empty()) {
             for (const TraceEvent *ev : ix.lockBlocks)
                 if (ev->tid == ep.tid)
-                    ep.siteTag = ev->tag;
+                    ep.siteTag = tagName(ev->tag);
         }
         ep.kind = kindFromTag(ep.siteTag);
 

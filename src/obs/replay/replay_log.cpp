@@ -382,8 +382,8 @@ saveReplayLog(const std::string &path, const ReplayLog &log,
 std::pair<uint64_t, uint64_t>
 accessDigestOf(const FlightRecorder &rec)
 {
-    // Order-sensitive FNV-1a over the shared-access stream.  merged()
-    // is seq-ordered, so the digest pins both values and their global
+    // Order-sensitive FNV-1a over the shared-access stream, visited in
+    // seq order, so the digest pins both values and their global
     // interleaving.
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
@@ -393,16 +393,16 @@ accessDigestOf(const FlightRecorder &rec)
         }
     };
     uint64_t count = 0;
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.forEachInOrder([&](const TraceEvent &ev) {
         if (ev.kind != EventKind::SharedLoad &&
             ev.kind != EventKind::SharedStore)
-            continue;
+            return;
         ++count;
         mix(ev.kind == EventKind::SharedStore ? 1 : 0);
         mix(ev.tid);
         mix(ev.a);
         mix(ev.b);
-    }
+    });
     return {count, count ? h : 0};
 }
 
@@ -454,14 +454,18 @@ buildReplayLog(const std::string &program,
 
     uint64_t prevStep = 0;
     bool first = true;
-    for (const TraceEvent &ev : rec.merged()) {
+    bool corrupt = false;
+    rec.forEachInOrder([&](const TraceEvent &ev) {
+        if (corrupt)
+            return;
         if (ev.kind == EventKind::SchedSwitch) {
             if (!first && ev.step <= prevStep) {
                 err = strfmt("corrupt recording: switch at step %llu "
                              "after step %llu",
                              (unsigned long long)ev.step,
                              (unsigned long long)prevStep);
-                return false;
+                corrupt = true;
+                return;
             }
             first = false;
             prevStep = ev.step;
@@ -469,7 +473,9 @@ buildReplayLog(const std::string &program,
         } else if (ev.kind == EventKind::LockAcquire) {
             log.locks.push_back({ev.step, ev.tid, ev.a});
         }
-    }
+    });
+    if (corrupt)
+        return false;
     std::tie(log.accessCount, log.accessDigest) = accessDigestOf(rec);
 
     log.outcome = vm::outcomeName(result.outcome);

@@ -57,9 +57,10 @@ std::string
 lockOrderDiff(const ReplayLog &log, const FlightRecorder &rec)
 {
     std::vector<ReplayLog::LockAcq> replayed;
-    for (const TraceEvent &ev : rec.merged())
+    rec.forEachInOrder([&](const TraceEvent &ev) {
         if (ev.kind == EventKind::LockAcquire)
             replayed.push_back({ev.step, ev.tid, ev.a});
+    });
     if (replayed.size() != log.locks.size())
         return strfmt("lock acquisitions %zu vs %zu recorded",
                       replayed.size(), log.locks.size());

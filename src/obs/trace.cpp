@@ -36,35 +36,6 @@ FlightRecorder::FlightRecorder(size_t perThreadCapacity,
 {
 }
 
-void
-FlightRecorder::record(uint32_t tid, EventKind kind, uint64_t clock,
-                       uint64_t step, uint64_t a, uint64_t b,
-                       std::string tag)
-{
-    if (tid >= rings_.size())
-        rings_.resize(size_t(tid) + 1);
-    Ring &r = rings_[tid];
-
-    TraceEvent ev;
-    ev.seq = nextSeq_++;
-    ev.clock = clock;
-    ev.step = step;
-    ev.a = a;
-    ev.b = b;
-    ev.tid = tid;
-    ev.kind = kind;
-    ev.tag = std::move(tag);
-
-    if (r.buf.size() < cap_ || mode_ == RecorderMode::Grow) {
-        r.buf.push_back(std::move(ev));
-    } else {
-        r.buf[r.next] = std::move(ev);
-        r.next = (r.next + 1) % cap_;
-    }
-    ++r.total;
-    ++kindTotals_[size_t(kind)];
-}
-
 std::vector<TraceEvent>
 FlightRecorder::threadEvents(uint32_t tid) const
 {
@@ -83,15 +54,11 @@ std::vector<TraceEvent>
 FlightRecorder::merged() const
 {
     std::vector<TraceEvent> out;
-    for (uint32_t tid = 0; tid < rings_.size(); ++tid) {
-        std::vector<TraceEvent> evs = threadEvents(tid);
-        out.insert(out.end(), std::make_move_iterator(evs.begin()),
-                   std::make_move_iterator(evs.end()));
-    }
-    std::sort(out.begin(), out.end(),
-              [](const TraceEvent &x, const TraceEvent &y) {
-                  return x.seq < y.seq;
-              });
+    size_t n = 0;
+    for (const Ring &r : rings_)
+        n += r.buf.size();
+    out.reserve(n);
+    forEachInOrder([&out](const TraceEvent &ev) { out.push_back(ev); });
     return out;
 }
 

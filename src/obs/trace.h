@@ -25,8 +25,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "support/intern.h"
+#include "support/small_vec.h"
 
 namespace conair::obs {
 
@@ -55,8 +59,9 @@ namespace conair::obs {
  *  CoverageNovel        interleaving edge key    cov::EdgeKind as int
  *  CoverageSnapshot     distinct edges so far    novel edges this run
  *
- * `tag` carries the failure-site / lock-site tag when the instruction
- * has one (Rollback, FailureSite, RecoveryDone, Lock*, Shared*).
+ * `tag` carries the failure-site / lock-site tag, as an interned id,
+ * when the instruction has one (Rollback, FailureSite, RecoveryDone,
+ * Lock*, Shared*).
  *
  * SharedLoad / SharedStore only fire in *diagnosis recording mode*
  * (VmConfig::recordSharedAccesses, off by default): every non-stack
@@ -136,7 +141,11 @@ inline constexpr int64_t cellOffset(uint64_t packed)
 /** Stable lowercase name ("rollback", "lock-acquire", ...). */
 const char *eventKindName(EventKind k);
 
-/** One recorded event. */
+/**
+ * One recorded event: 48 bytes of plain data, copied by value into the
+ * rings.  The site tag is an interned id (support/intern.h); tagName()
+ * turns it back into the string the exporters print.
+ */
 struct TraceEvent
 {
     uint64_t seq = 0;   ///< global record order (total order of events)
@@ -145,11 +154,14 @@ struct TraceEvent
     uint64_t a = 0;     ///< kind-specific payload (see EventKind)
     uint64_t b = 0;     ///< kind-specific payload (see EventKind)
     uint32_t tid = 0;   ///< VM thread the event belongs to
-    EventKind kind = EventKind::ThreadSpawn;
-    std::string tag;    ///< site tag, when the kind carries one
+    TagId tag : kTagIdBits = kNoTag; ///< site tag, when the kind has one
+    EventKind kind : 8 = EventKind::ThreadSpawn;
 
     bool operator==(const TraceEvent &) const = default;
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+              sizeof(TraceEvent) <= 48);
 
 /**
  * How a full per-thread buffer behaves.
@@ -179,15 +191,109 @@ class FlightRecorder
     explicit FlightRecorder(size_t perThreadCapacity = 4096,
                             RecorderMode mode = RecorderMode::Ring);
 
-    void record(uint32_t tid, EventKind kind, uint64_t clock,
-                uint64_t step, uint64_t a = 0, uint64_t b = 0,
-                std::string tag = {});
+    /** The VM's record path: @p tag is an interned id. */
+    void
+    record(uint32_t tid, EventKind kind, uint64_t clock, uint64_t step,
+           uint64_t a = 0, uint64_t b = 0, TagId tag = kNoTag)
+    {
+        if (tid >= rings_.size())
+            rings_.resize(size_t(tid) + 1);
+        Ring &r = rings_[tid];
+        TraceEvent ev;
+        ev.seq = nextSeq_++;
+        ev.clock = clock;
+        ev.step = step;
+        ev.a = a;
+        ev.b = b;
+        ev.tid = tid;
+        ev.tag = tag;
+        ev.kind = kind;
+        if (r.buf.size() < cap_ || mode_ == RecorderMode::Grow) {
+            r.buf.push_back(ev);
+        } else {
+            r.buf[r.next] = ev;
+            r.next = r.next + 1 == cap_ ? 0 : r.next + 1;
+        }
+        ++r.total;
+        ++kindTotals_[size_t(kind)];
+    }
+
+    /** Interns @p tag first (tests and hand-built traces). */
+    void
+    record(uint32_t tid, EventKind kind, uint64_t clock, uint64_t step,
+           uint64_t a, uint64_t b, std::string_view tag)
+    {
+        record(tid, kind, clock, step, a, b, intern(tag));
+    }
 
     /** Highest thread id seen + 1 (0 when nothing was recorded). */
     size_t threadCount() const { return rings_.size(); }
 
     /** Events still retained for @p tid, oldest first. */
     std::vector<TraceEvent> threadEvents(uint32_t tid) const;
+
+    /**
+     * Calls @p fn(const TraceEvent &) on every retained event of every
+     * thread in record (seq) order, without copying: a k-way merge
+     * over the per-thread rings, each already in seq order.  A thread
+     * usually records a run of consecutive seqs between switches, so
+     * the merge only compares ring heads when the run breaks.  The
+     * references point into the rings and stay valid until the next
+     * record() or clear().
+     */
+    template <typename Fn>
+    void
+    forEachInOrder(Fn &&fn) const
+    {
+        // Each ring's retained events, oldest first, are buf[next..)
+        // followed by buf[..next).
+        struct Cursor
+        {
+            const TraceEvent *cur, *end, *wrap, *wrapEnd;
+        };
+        SmallVec<Cursor, 8> cursors;
+        for (const Ring &r : rings_) {
+            if (r.buf.empty())
+                continue;
+            const TraceEvent *base = r.buf.data();
+            cursors.push_back({base + r.next, base + r.buf.size(), base,
+                               base + r.next});
+        }
+        auto advance = [](Cursor &c) {
+            if (++c.cur == c.end) {
+                c.cur = c.wrap;
+                c.end = c.wrapEnd;
+                c.wrap = c.wrapEnd = nullptr;
+            }
+        };
+        size_t live = cursors.size();
+        while (live > 0) {
+            Cursor *best = nullptr;
+            for (Cursor &c : cursors)
+                if (c.cur != c.end && (!best || c.cur->seq < best->cur->seq))
+                    best = &c;
+            // Emit best's run of consecutive seqs: no other head can
+            // fall inside it.
+            uint64_t seq;
+            do {
+                seq = best->cur->seq;
+                fn(*best->cur);
+                advance(*best);
+            } while (best->cur != best->end && best->cur->seq == seq + 1);
+            if (best->cur == best->end)
+                --live;
+        }
+    }
+
+    /** @p tid's most recently recorded event, or nullptr. */
+    const TraceEvent *
+    newest(uint32_t tid) const
+    {
+        if (tid >= rings_.size() || rings_[tid].buf.empty())
+            return nullptr;
+        const Ring &r = rings_[tid];
+        return r.next == 0 ? &r.buf.back() : &r.buf[r.next - 1];
+    }
 
     /** All retained events of all threads, in record (seq) order. */
     std::vector<TraceEvent> merged() const;

@@ -73,8 +73,8 @@ writeEventArgs(JsonWriter &w, const TraceEvent &ev)
     w.key("b").value(ev.b);
     w.key("step").value(ev.step);
     w.key("seq").value(ev.seq);
-    if (!ev.tag.empty())
-        w.key("tag").value(ev.tag);
+    if (ev.tag != kNoTag)
+        w.key("tag").value(tagName(ev.tag));
     w.endObject();
 }
 
@@ -84,8 +84,8 @@ writeInstant(JsonWriter &w, const TraceProcess &p, const TraceEvent &ev,
 {
     w.beginObject();
     std::string name = eventKindName(ev.kind);
-    if (!ev.tag.empty())
-        name += " @" + ev.tag;
+    if (ev.tag != kNoTag)
+        name += " @" + tagName(ev.tag);
     w.key("name").value(name);
     w.key("cat").value(kindCategory(ev.kind));
     w.key("ph").value("i");
@@ -129,7 +129,7 @@ writeProcess(JsonWriter &w, const TraceProcess &p, double microsPerTick)
     // granted after blocking closes a visible wait span.
     std::map<uint32_t, uint64_t> lockWaitStart;
 
-    for (const TraceEvent &ev : rec.merged()) {
+    rec.forEachInOrder([&](const TraceEvent &ev) {
         switch (ev.kind) {
           case EventKind::RecoveryDone:
             // b = episode start clock; render the whole episode as a
@@ -137,7 +137,8 @@ writeProcess(JsonWriter &w, const TraceProcess &p, double microsPerTick)
             writeDuration(w, p,
                           strfmt("recovery x%llu",
                                  (unsigned long long)ev.a) +
-                              (ev.tag.empty() ? "" : " @" + ev.tag),
+                              (ev.tag == kNoTag ? ""
+                                                : " @" + tagName(ev.tag)),
                           "recovery", ev.tid, ev.b, ev.clock,
                           microsPerTick, ev);
             break;
@@ -164,7 +165,7 @@ writeProcess(JsonWriter &w, const TraceProcess &p, double microsPerTick)
             writeInstant(w, p, ev, microsPerTick);
             break;
         }
-    }
+    });
 }
 
 } // namespace
@@ -288,8 +289,8 @@ recoveryTimeline(const FlightRecorder &rec, double microsPerTick)
           default:
             break;
         }
-        if (!ev.tag.empty())
-            out += "  @" + ev.tag;
+        if (ev.tag != kNoTag)
+            out += "  @" + tagName(ev.tag);
         out += '\n';
     }
     if (shown == 0)

@@ -495,7 +495,7 @@ Interp::fusedCellFast(Thread &t, Ptr p)
 
 Interp::FastMem
 Interp::fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
-                     const RtValue *consts)
+                     const RtValue *consts, uint64_t pending)
 {
     if (di.a == kRawRef)
         return FastMem::Slow;
@@ -503,8 +503,6 @@ Interp::fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
     const RtValue *cell = fusedCellFast(t, p);
     if (!cell)
         return FastMem::Slow;
-    if (diag_ && p.seg != Ptr::Seg::Stack)
-        return FastMem::Slow; // must record a SharedLoad event
     const RtValue &c = *cell;
     const bool intKinds = (c.kind == ir::Type::I64 ||
                            c.kind == ir::Type::I1) &&
@@ -512,6 +510,8 @@ Interp::fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
                            di.type == ir::Type::I1);
     if (c.isUninit() || (c.kind != di.type && !intKinds))
         return FastMem::Slow; // zero-fill / type-confusion diagnostics
+    if (diag_ && p.seg != Ptr::Seg::Stack)
+        recordSharedAccess(t, false, p, c, di.src->tagId(), pending);
     RtValue v = c;
     v.kind = di.type;
     regs[di.dst] = v;
@@ -520,7 +520,7 @@ Interp::fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
 
 Interp::FastMem
 Interp::fusedTryStore(Thread &t, const DecodedInst &di, RtValue *regs,
-                      const RtValue *consts)
+                      const RtValue *consts, uint64_t pending)
 {
     if (di.a == kRawRef || di.b == kRawRef)
         return FastMem::Slow;
@@ -532,10 +532,10 @@ Interp::fusedTryStore(Thread &t, const DecodedInst &di, RtValue *regs,
         *cell = fusedRef(regs, consts, di.a);
         return FastMem::Done;
     }
-    if (diag_)
-        return FastMem::Slow; // must record a SharedStore event
     *cell = fusedRef(regs, consts, di.a);
     ++result_.stats.schedTicks;
+    if (diag_)
+        recordSharedAccess(t, true, p, *cell, di.src->tagId(), pending);
     return FastMem::SharedDone;
 }
 
@@ -849,7 +849,8 @@ resync:
     {
         frp->dPc = idx + 1;
         VM_CHARGE();
-        if (fusedTryLoad(t, insts[idx], regs, consts) == FastMem::Done) {
+        if (fusedTryLoad(t, insts[idx], regs, consts,
+                         comps + phiTicks) == FastMem::Done) {
             if (prof_)
                 ++profMem;
             VM_NEXT();
@@ -867,7 +868,8 @@ resync:
     {
         frp->dPc = idx + 1;
         VM_CHARGE();
-        const FastMem fm = fusedTryStore(t, insts[idx], regs, consts);
+        const FastMem fm = fusedTryStore(t, insts[idx], regs, consts,
+                                          comps + phiTicks);
         if (fm == FastMem::Done) {
             if (prof_)
                 ++profMem;
@@ -895,7 +897,8 @@ resync:
     {
         frp->dPc = idx + 1;
         VM_CHARGE();
-        if (fusedTryLoad(t, insts[idx], regs, consts) != FastMem::Done) {
+        if (fusedTryLoad(t, insts[idx], regs, consts,
+                         comps + phiTicks) != FastMem::Done) {
             VM_PROF_SEG(1); // see Load
             if (prof_)
                 profStep(t, insts[idx].op, insts[idx].builtin);
@@ -927,7 +930,8 @@ resync:
         frp->dPc = idx + 2;
         VM_CHARGE();
         const FastMem fm =
-            fusedTryStore(t, insts[idx + 1], regs, consts);
+            fusedTryStore(t, insts[idx + 1], regs, consts,
+                          comps + phiTicks);
         if (fm == FastMem::Done) {
             if (prof_)
                 ++profMem;
@@ -1420,12 +1424,12 @@ valueBits(const RtValue &v)
 
 void
 Interp::recordSharedAccess(const Thread &t, bool isStore, Ptr addr,
-                           const RtValue &v, const std::string &tag)
+                           const RtValue &v, TagId tag, uint64_t pending)
 {
     rec_->record(t.id,
                  isStore ? obs::EventKind::SharedStore
                          : obs::EventKind::SharedLoad,
-                 clock_, result_.stats.steps,
+                 clock_ + pending, result_.stats.steps + pending,
                  obs::packCellAddr(uint8_t(addr.seg), addr.block,
                                    addr.offset),
                  valueBits(v), tag);
@@ -1442,7 +1446,7 @@ Interp::doLoad(Thread &t, const Instruction &inst)
         return;
     }
     if (diag_ && addr.p.seg != Ptr::Seg::Stack)
-        recordSharedAccess(t, false, addr.p, *cell, inst.tag());
+        recordSharedAccess(t, false, addr.p, *cell, inst.tagId());
     finishLoad(f, f.map->indexOf(&inst), inst.type(), *cell, &inst);
 }
 
@@ -1461,7 +1465,7 @@ Interp::doStore(Thread &t, const Instruction &inst)
     if (addr.p.seg != Ptr::Seg::Stack) {
         ++result_.stats.schedTicks;
         if (diag_)
-            recordSharedAccess(t, true, addr.p, v, inst.tag());
+            recordSharedAccess(t, true, addr.p, v, inst.tagId());
     }
 }
 
@@ -1476,7 +1480,7 @@ Interp::doLoadDecoded(Thread &t, const DecodedInst &di)
         return;
     }
     if (diag_ && addr.p.seg != Ptr::Seg::Stack)
-        recordSharedAccess(t, false, addr.p, *cell, di.src->tag());
+        recordSharedAccess(t, false, addr.p, *cell, di.src->tagId());
     finishLoad(f, di.dst, di.type, *cell, di.src);
 }
 
@@ -1495,7 +1499,7 @@ Interp::doStoreDecoded(Thread &t, const DecodedInst &di)
     if (addr.p.seg != Ptr::Seg::Stack) {
         ++result_.stats.schedTicks;
         if (diag_)
-            recordSharedAccess(t, true, addr.p, v, di.src->tag());
+            recordSharedAccess(t, true, addr.p, v, di.src->tagId());
     }
 }
 
@@ -1525,7 +1529,7 @@ Interp::lockMutex(Thread &t, Ptr p, bool timed, uint64_t timeout,
         if (rec_)
             rec_->record(t.id, obs::EventKind::LockAcquire, clock_,
                          result_.stats.steps, key.block, 0,
-                         site ? site->tag() : std::string());
+                         site ? site->tagId() : kNoTag);
         if (timed)
             t.frames.back().regs[dstReg] = RtValue::ofInt(0);
         return;
@@ -1537,7 +1541,7 @@ Interp::lockMutex(Thread &t, Ptr p, bool timed, uint64_t timeout,
         if (rec_)
             rec_->record(t.id, obs::EventKind::LockTimeout, clock_,
                          result_.stats.steps, key.block, 1,
-                         site ? site->tag() : std::string());
+                         site ? site->tagId() : kNoTag);
         t.frames.back().regs[dstReg] = RtValue::ofInt(1);
         return;
     }
@@ -1565,7 +1569,7 @@ Interp::lockMutex(Thread &t, Ptr p, bool timed, uint64_t timeout,
     if (rec_)
         rec_->record(t.id, obs::EventKind::LockBlock, clock_,
                      result_.stats.steps, key.block, timed ? 1 : 0,
-                     site ? site->tag() : std::string());
+                     site ? site->tagId() : kNoTag);
     forceSwitch_ = true;
 }
 
@@ -2334,7 +2338,7 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
     if (!t.episode.active || t.episode.siteId != site_id) {
         t.episode.active = true;
         t.episode.siteId = site_id;
-        t.episode.siteTag = inst.tag();
+        t.episode.siteTag = inst.tagId();
         t.episode.startClock = clock_;
         t.episode.retries = 0;
     }
@@ -2344,7 +2348,7 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
         rec_->record(t.id, obs::EventKind::Rollback, clock_,
                      result_.stats.steps, t.episode.retries,
                      result_.stats.schedTicks - t.ckpt.schedTicksAt,
-                     inst.tag());
+                     inst.tagId());
     if (met_) {
         met_->add("rollbacks");
         met_->observe("ckpt_to_failure_ticks",
@@ -2352,7 +2356,7 @@ Interp::doTryRollback(Thread &t, const Instruction &inst, int64_t site_id)
                       obs::MetricsRegistry::tickDistanceBuckets());
     }
     if (prof_)
-        prof_->onRollback(t.id, t.episode.siteTag,
+        prof_->onRollback(t.id, tagName(t.episode.siteTag),
                           result_.stats.schedTicks - t.ckpt.schedTicksAt);
 
     runCompensation(t);
@@ -2475,14 +2479,14 @@ Interp::execConAir(Thread &t, const Instruction &inst,
         int64_t site_id = vals[0].i;
         if (t.episode.active && t.episode.siteId == site_id) {
             RecoveryEvent ev;
-            ev.siteTag = t.episode.siteTag;
+            ev.siteTag = tagName(t.episode.siteTag);
             ev.retries = t.episode.retries;
             ev.startClock = t.episode.startClock;
             ev.endClock = clock_;
             if (rec_)
                 rec_->record(t.id, obs::EventKind::RecoveryDone, clock_,
                              result_.stats.steps, ev.retries,
-                             ev.startClock, ev.siteTag);
+                             ev.startClock, t.episode.siteTag);
             if (met_) {
                 met_->add("recoveries");
                 met_->add("retries_by_site/" + ev.siteTag, ev.retries);
@@ -2927,7 +2931,7 @@ Interp::fail(Outcome o, const std::string &msg, const Instruction *site)
     if (rec_)
         rec_->record(currentTid_, obs::EventKind::FailureSite, clock_,
                      result_.stats.steps, uint64_t(o), 0,
-                     site ? site->tag() : std::string());
+                     site ? site->tagId() : kNoTag);
     if (cfg_.wpCheckpointInterval > 0 && !wpSnapshots_.empty() &&
         wpRecoveriesUsed_ < cfg_.wpMaxRecoveries) {
         // Whole-program rollback instead of dying.  The restore is

@@ -109,7 +109,7 @@ class Interp
     {
         bool active = false;
         int64_t siteId = 0;
-        std::string siteTag;
+        TagId siteTag = kNoTag;
         uint64_t startClock = 0;
         uint64_t retries = 0;
     };
@@ -342,10 +342,15 @@ class Interp
      *  proves the access in bounds and live; nullptr means "delegate"
      *  (miss or fault), never a diagnosed failure. */
     RtValue *fusedCellFast(Thread &t, Ptr p);
+    /** Fused fast-path load/store.  @p pending is the burst's
+     *  deferred clock/step charge (this access's included), so a
+     *  diagnosis-mode event carries the values the delegated path
+     *  would have flushed before recording. */
     FastMem fusedTryLoad(Thread &t, const DecodedInst &di, RtValue *regs,
-                         const RtValue *consts);
+                         const RtValue *consts, uint64_t pending);
     FastMem fusedTryStore(Thread &t, const DecodedInst &di,
-                          RtValue *regs, const RtValue *consts);
+                          RtValue *regs, const RtValue *consts,
+                          uint64_t pending);
 
     //
     // Whole-program checkpoint baseline (Rx/ASSURE stand-in).
@@ -478,9 +483,11 @@ class Interp
                           uint64_t memSteps);
 
     /** Records a SharedLoad/SharedStore event for a successful
-     *  non-stack access (diagnosis mode only). */
+     *  non-stack access (diagnosis mode only), @p pending clock/step
+     *  charges ahead of the member counters. */
     void recordSharedAccess(const Thread &t, bool isStore, Ptr addr,
-                            const RtValue &v, const std::string &tag);
+                            const RtValue &v, TagId tag,
+                            uint64_t pending = 0);
 
     // Clock and result.
     uint64_t clock_ = 0;

@@ -1,3 +1,7 @@
+#include <bit>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "ir/builder.h"
@@ -17,6 +21,49 @@ TEST(Module, ConstantsAreUniquedWhereExpected)
     EXPECT_EQ(m.getBool(true), m.getBool(true));
     EXPECT_NE(static_cast<Value *>(m.getBool(false)),
               static_cast<Value *>(m.getInt(0)));
+}
+
+TEST(Module, FloatConstantsAreUniquedByBitPattern)
+{
+    // mem2reg asks for 0.0 once per promoted float slot: the pool must
+    // not grow per call.  Distinct bit patterns stay distinct.
+    Module m;
+    ConstFloat *zero = m.getFloat(0.0);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(m.getFloat(0.0), zero);
+    EXPECT_NE(m.getFloat(-0.0), zero);
+    EXPECT_EQ(m.getFloat(-0.0), m.getFloat(-0.0));
+    EXPECT_EQ(m.getFloat(1.5), m.getFloat(1.5));
+    EXPECT_NE(m.getFloat(1.5), zero);
+    const double nanA = std::bit_cast<double>(0x7ff8000000000001ull);
+    const double nanB = std::bit_cast<double>(0x7ff8000000000002ull);
+    EXPECT_EQ(m.getFloat(nanA), m.getFloat(nanA));
+    EXPECT_NE(m.getFloat(nanA), m.getFloat(nanB));
+}
+
+TEST(Module, TeardownWithPopularConstants)
+{
+    // Module teardown skips per-use unlinking; a constant with many
+    // uses across functions must still die cleanly, and erasing one
+    // instruction before that still unlinks its use.
+    auto m = std::make_unique<Module>();
+    ConstInt *zero = m->getInt(0);
+    Instruction *dead = nullptr;
+    for (int fi = 0; fi < 4; ++fi) {
+        Function *f = m->addFunction("f" + std::to_string(fi), Type::I64);
+        IRBuilder b(m.get());
+        b.setInsertAtEnd(f->addBlock("entry"));
+        Value *acc = zero;
+        for (int i = 0; i < 200; ++i)
+            acc = b.binop(Opcode::Add, acc, zero);
+        dead = b.binop(Opcode::Add, zero, zero);
+        b.ret(acc);
+    }
+    // 200 chained adds use zero 201 times, the dead add twice more.
+    EXPECT_EQ(zero->uses().size(), 4u * 203);
+    dead->parent()->erase(dead);
+    EXPECT_EQ(zero->uses().size(), 4u * 203 - 2);
+    m.reset();
 }
 
 TEST(Module, InternedStringsShareIds)

@@ -1,13 +1,17 @@
 /**
  * @file
  * FlightRecorder unit tests: ring wraparound keeps the newest events,
- * per-kind totals survive overwrites, merged() respects record order,
- * and the exporters render deterministically.
+ * per-kind totals survive overwrites, merged() and the in-order visitor
+ * respect record order, and the exporters render deterministically.
  */
+#include <algorithm>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "obs/trace.h"
 #include "obs/trace_export.h"
+#include "support/rng.h"
 
 namespace conair::obs {
 namespace {
@@ -70,6 +74,105 @@ TEST(FlightRecorder, MergedIsInRecordOrderAcrossThreads)
     EXPECT_EQ(evs[2].kind, EventKind::RecoveryDone);
     EXPECT_EQ(evs[0].seq, 0u);
     EXPECT_EQ(evs[2].seq, 2u);
+}
+
+// The rings store events by value and the visitor hands out
+// references into them: the event must stay plain data.
+static_assert(std::is_trivially_copyable_v<TraceEvent> &&
+              sizeof(TraceEvent) <= 48);
+
+/** Records @p n random events over @p threads thread ids, in runs of
+ *  one to four consecutive events per thread. */
+void
+recordRandom(FlightRecorder &rec, Rng &rng, uint32_t threads, size_t n)
+{
+    const char *tags[] = {"", "site.a", "site.b", "lock.main.3"};
+    uint32_t tid = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (rng.range(4) == 0)
+            tid = uint32_t(rng.range(threads));
+        rec.record(tid, EventKind(rng.range(kEventKindCount)), i,
+                   rng.range(100), rng.next(), rng.next(),
+                   tags[rng.range(4)]);
+    }
+}
+
+/** Sort-by-seq of every thread's retained events: the reference the
+ *  k-way merge must reproduce. */
+std::vector<TraceEvent>
+sortedConcatenation(const FlightRecorder &rec)
+{
+    std::vector<TraceEvent> all;
+    for (uint32_t tid = 0; tid < rec.threadCount(); ++tid) {
+        std::vector<TraceEvent> evs = rec.threadEvents(tid);
+        all.insert(all.end(), evs.begin(), evs.end());
+    }
+    std::sort(all.begin(), all.end(),
+              [](const TraceEvent &x, const TraceEvent &y) {
+                  return x.seq < y.seq;
+              });
+    return all;
+}
+
+TEST(FlightRecorder, MergeEqualsSortedConcatenation)
+{
+    // Random streams over 1-8 threads, in rings small enough to wrap
+    // (capacities 1-7) and in Grow mode: the visitor and merged() must
+    // both equal the sorted concatenation of threadEvents().
+    Rng rng(17);
+    size_t wrapped = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        uint32_t threads = 1 + uint32_t(rng.range(8));
+        size_t cap = 1 + rng.range(7);
+        RecorderMode mode =
+            trial % 4 == 3 ? RecorderMode::Grow : RecorderMode::Ring;
+        FlightRecorder rec(cap, mode);
+        recordRandom(rec, rng, threads, rng.range(60));
+        wrapped += rec.droppedAll() > 0;
+
+        std::vector<TraceEvent> want = sortedConcatenation(rec);
+        std::vector<TraceEvent> visited;
+        rec.forEachInOrder(
+            [&](const TraceEvent &ev) { visited.push_back(ev); });
+        EXPECT_EQ(visited, want) << "trial " << trial;
+        EXPECT_EQ(rec.merged(), want) << "trial " << trial;
+        if (mode == RecorderMode::Grow) {
+            EXPECT_EQ(rec.droppedAll(), 0u);
+        }
+    }
+    EXPECT_GT(wrapped, 100u); // the rings really wrapped
+}
+
+TEST(FlightRecorder, NewestIsTheLastRecordedEventOfEachThread)
+{
+    Rng rng(5);
+    for (size_t cap : {1, 3, 64}) {
+        FlightRecorder rec(cap);
+        recordRandom(rec, rng, 4, 40);
+        for (uint32_t tid = 0; tid < rec.threadCount(); ++tid) {
+            std::vector<TraceEvent> evs = rec.threadEvents(tid);
+            if (evs.empty()) {
+                EXPECT_EQ(rec.newest(tid), nullptr);
+                continue;
+            }
+            ASSERT_NE(rec.newest(tid), nullptr);
+            EXPECT_EQ(*rec.newest(tid), evs.back());
+        }
+        EXPECT_EQ(rec.newest(99), nullptr);
+    }
+}
+
+TEST(FlightRecorder, TagsAreInternedIds)
+{
+    FlightRecorder rec(4);
+    rec.record(0, EventKind::Rollback, 1, 1, 0, 0, "site.a");
+    rec.record(0, EventKind::Rollback, 2, 2, 0, 0, intern("site.a"));
+    rec.record(0, EventKind::Checkpoint, 3, 3);
+    std::vector<TraceEvent> evs = rec.merged();
+    ASSERT_EQ(evs.size(), 3u);
+    EXPECT_EQ(evs[0].tag, evs[1].tag);
+    EXPECT_EQ(tagName(evs[0].tag), "site.a");
+    EXPECT_EQ(evs[2].tag, kNoTag);
 }
 
 TEST(FlightRecorder, ClearForgetsEventsAndTotals)

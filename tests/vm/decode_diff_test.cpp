@@ -310,7 +310,7 @@ expectSameStream(const ir::Module &m, const VmConfig &base,
     }
     return size_t(std::count_if(
         a.begin(), a.end(),
-        [](const obs::TraceEvent &ev) { return !ev.tag.empty(); }));
+        [](const obs::TraceEvent &ev) { return ev.tag != kNoTag; }));
 }
 
 TEST(DecodeDiff, RecordedStreamsAgree)
