@@ -360,15 +360,11 @@ void
 annotateRecorder(FlightRecorder &rec, const std::vector<Edge> &novel,
                  uint64_t distinctAfter)
 {
-    // Clocks and steps never decrease along a thread's events, so each
-    // ring's newest event holds that thread's maximum.
     uint64_t endClock = 0, endStep = 0;
-    for (uint32_t tid = 0; tid < rec.threadCount(); ++tid) {
-        if (const TraceEvent *ev = rec.newest(tid)) {
-            endClock = std::max(endClock, ev->clock);
-            endStep = std::max(endStep, ev->step);
-        }
-    }
+    rec.forEachInOrder([&](const TraceEvent &ev) {
+        endClock = std::max(endClock, ev.clock);
+        endStep = std::max(endStep, ev.step);
+    });
     for (const Edge &e : novel)
         rec.record(e.tid, EventKind::CoverageNovel, e.clock, e.step,
                    e.key, uint64_t(e.kind));

@@ -285,16 +285,6 @@ class FlightRecorder
         }
     }
 
-    /** @p tid's most recently recorded event, or nullptr. */
-    const TraceEvent *
-    newest(uint32_t tid) const
-    {
-        if (tid >= rings_.size() || rings_[tid].buf.empty())
-            return nullptr;
-        const Ring &r = rings_[tid];
-        return r.next == 0 ? &r.buf.back() : &r.buf[r.next - 1];
-    }
-
     /** All retained events of all threads, in record (seq) order. */
     std::vector<TraceEvent> merged() const;
 

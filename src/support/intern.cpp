@@ -21,16 +21,18 @@ struct Table
     {
         // Chunk 0 slot 0 stays the empty string: id 0 = kNoTag.
         chunks[0].store(new std::string[kChunkSize],
-                        std::memory_order_release);
+                        std::memory_order_relaxed);
     }
 
-    std::mutex mu; ///< guards ids, next and chunk allocation
+    std::mutex mu; ///< guards ids and chunk allocation
     std::unordered_map<std::string_view, TagId> ids; ///< views into chunks
-    TagId next = 1;
+    /// One past the highest id handed out.  Written under the mutex
+    /// (release, after the id's string is in place), read by tagName()
+    /// without it.
+    std::atomic<TagId> next{1};
 
-    /// Chunk directory.  A chunk never moves once allocated, and each
-    /// insert re-publishes its chunk, so tagName() reads without the
-    /// mutex.
+    /// Chunk directory.  A chunk never moves once allocated; tagName()
+    /// reads it without the mutex, ordered by next.
     std::atomic<std::string *> chunks[kMaxChunks] = {};
 };
 
@@ -55,32 +57,33 @@ intern(std::string_view s)
     auto it = t.ids.find(s);
     if (it != t.ids.end())
         return it->second;
-    TagId id = t.next;
+    TagId id = t.next.load(std::memory_order_relaxed);
     if (id >> kTagIdBits)
         fatal("intern: more than 2^24 distinct tags");
     std::atomic<std::string *> &slot = t.chunks[id >> kChunkBits];
     std::string *chunk = slot.load(std::memory_order_relaxed);
-    if (!chunk)
+    if (!chunk) {
         chunk = new std::string[kChunkSize];
+        slot.store(chunk, std::memory_order_relaxed);
+    }
     std::string &entry = chunk[id & kChunkMask];
     entry.assign(s);
-    slot.store(chunk, std::memory_order_release);
     t.ids.emplace(std::string_view(entry), id);
-    ++t.next;
+    t.next.store(id + 1, std::memory_order_release);
     return id;
 }
 
 const std::string &
 tagName(TagId id)
 {
-    const std::string *chunk =
-        id >> kTagIdBits
-            ? nullptr
-            : table().chunks[id >> kChunkBits].load(
-                  std::memory_order_acquire);
-    if (!chunk)
+    Table &t = table();
+    // The acquire load of next pairs with intern()'s release store, so
+    // the chunk pointer and the string of every id below it are
+    // visible.
+    if (id >= t.next.load(std::memory_order_acquire))
         fatal("tagName: id was never interned");
-    return chunk[id & kChunkMask];
+    return t.chunks[id >> kChunkBits].load(std::memory_order_relaxed)
+        [id & kChunkMask];
 }
 
 } // namespace conair

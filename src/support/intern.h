@@ -12,9 +12,9 @@
  * once handed out, names the same string forever, so ids can be
  * copied between modules, recorders and threads freely.  Interning
  * takes a mutex; tagName() takes none.  Strings live in fixed-size
- * chunks that never move, and a chunk is published (release store)
- * before any id inside it is returned, so a reader holding an id
- * always finds its string.
+ * chunks that never move, and the count of ids handed out is published
+ * (release store) only after the new id's string is in place, so a
+ * reader holding an id always finds its string.
  *
  * Id 0 is the empty tag (kNoTag): intern("") returns it and
  * tagName(kNoTag) is "".  Ids fit in kTagIdBits bits, so a trace event
@@ -43,7 +43,8 @@ inline constexpr unsigned kTagIdBits = 24;
 TagId intern(std::string_view s);
 
 /** The string @p id names.  Lock-free; the reference stays valid for
- *  the life of the process.  @p id must come from intern(). */
+ *  the life of the process.  An id that intern() never handed out is a
+ *  fatal error. */
 const std::string &tagName(TagId id);
 
 } // namespace conair

@@ -143,25 +143,6 @@ TEST(FlightRecorder, MergeEqualsSortedConcatenation)
     EXPECT_GT(wrapped, 100u); // the rings really wrapped
 }
 
-TEST(FlightRecorder, NewestIsTheLastRecordedEventOfEachThread)
-{
-    Rng rng(5);
-    for (size_t cap : {1, 3, 64}) {
-        FlightRecorder rec(cap);
-        recordRandom(rec, rng, 4, 40);
-        for (uint32_t tid = 0; tid < rec.threadCount(); ++tid) {
-            std::vector<TraceEvent> evs = rec.threadEvents(tid);
-            if (evs.empty()) {
-                EXPECT_EQ(rec.newest(tid), nullptr);
-                continue;
-            }
-            ASSERT_NE(rec.newest(tid), nullptr);
-            EXPECT_EQ(*rec.newest(tid), evs.back());
-        }
-        EXPECT_EQ(rec.newest(99), nullptr);
-    }
-}
-
 TEST(FlightRecorder, TagsAreInternedIds)
 {
     FlightRecorder rec(4);

@@ -1,9 +1,10 @@
 /**
  * @file
  * The tag intern table: ids are stable and idempotent, id 0 is the
- * empty tag, every id names the string it was interned from, and
- * concurrent interning from several threads agrees on one id per
- * string (run under -fsanitize=thread in CI).
+ * empty tag, every id names the string it was interned from, an id
+ * never handed out is fatal, and concurrent interning from several
+ * threads agrees on one id per string (run under -fsanitize=thread in
+ * CI).
  */
 #include <string>
 #include <thread>
@@ -47,6 +48,16 @@ TEST(Intern, NamesStayPutAsTheTableGrows)
     for (int i = 0; i < 10000; ++i)
         EXPECT_EQ(tagName(ids[i]), "intern.grow." + std::to_string(i));
     EXPECT_LT(ids.back(), TagId(1) << kTagIdBits);
+}
+
+TEST(InternDeathTest, UnassignedIdsAreFatal)
+{
+    // The id after the newest one lies in an allocated chunk but was
+    // never handed out; the others lie past the table.
+    TagId last = intern("intern.death.last");
+    EXPECT_DEATH(tagName(last + 1), "never interned");
+    EXPECT_DEATH(tagName((TagId(1) << kTagIdBits) - 1), "never interned");
+    EXPECT_DEATH(tagName(TagId(1) << kTagIdBits), "never interned");
 }
 
 TEST(Intern, ConcurrentInternersAgree)
